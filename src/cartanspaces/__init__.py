@@ -8,7 +8,6 @@ cross-validated against independent formulas.
 
 from .catalog import (
     CatalogEntry,
-    EmbeddingDescriptor,
     HItem,
     ReductivePair,
     get_catalog,

@@ -14,6 +14,7 @@ subspace expressed in the canonical one-dimensional centralizer generators.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from dataclasses import dataclass, field
@@ -205,9 +206,39 @@ class WeightGroup:
     """One generator group: a list of weight sums, optionally ranged."""
 
     sums: tuple[tuple[tuple[bool, int, str], ...], ...]  # (dualize, factor, index expr)
-    var: str | None
-    lo: str | None
-    hi: str | None
+    rng: tuple[str, str, str] | None                     # (var, lo, hi)
+
+
+_RANGE = re.compile(r"\s*(\w+)\s*=\s*(.+?)\s*\.\.\s*(.+?)\s*$")
+
+
+def _ranged_parts(text: str) -> list[tuple[str, tuple[str, str, str] | None]]:
+    """Split `body | body : var = lo .. hi | ...` into (body, range or None)."""
+    out = []
+    for part in text.split("|"):
+        part = part.strip()
+        if not part:
+            continue
+        rng = None
+        if ":" in part:
+            part, tail = part.split(":", 1)
+            m = _RANGE.match(tail)
+            if not m:
+                raise TableFormatError(f"bad range {tail!r}")
+            rng = m.groups()
+            exprs.syntax_check(rng[1])
+            exprs.syntax_check(rng[2])
+        out.append((part, rng))
+    return out
+
+
+def _range_envs(rng: tuple[str, str, str] | None, params: dict) -> list[dict]:
+    """`params` alone, or `params` extended by each value of the ranged variable."""
+    if rng is None:
+        return [params]
+    var, lo, hi = rng
+    values = range(exprs.evaluate_int(lo, params), exprs.evaluate_int(hi, params) + 1)
+    return [{**params, var: value} for value in values]
 
 
 def _parse_wsum(text: str) -> tuple[tuple[bool, int, str], ...]:
@@ -216,27 +247,15 @@ def _parse_wsum(text: str) -> tuple[tuple[bool, int, str], ...]:
         m = _WTERM.match(piece.strip())
         if not m:
             raise TableFormatError(f"bad weight term {piece.strip()!r}")
+        exprs.syntax_check(m.group(3))
         terms.append((m.group(1) == "*", len(m.group(2)), m.group(3)))
     return tuple(terms)
 
 
 @lru_cache(maxsize=1024)
 def parse_weight_groups(text: str) -> tuple[WeightGroup, ...]:
-    groups = []
-    for part in text.split("|"):
-        part = part.strip()
-        if not part:
-            continue
-        var = lo = hi = None
-        if ":" in part:
-            part, rng = part.split(":", 1)
-            m = re.match(r"\s*(\w+)\s*=\s*(.+?)\s*\.\.\s*(.+?)\s*$", rng)
-            if not m:
-                raise TableFormatError(f"bad range {rng!r}")
-            var, lo, hi = m.group(1), m.group(2), m.group(3)
-        sums = tuple(_parse_wsum(s) for s in part.split(","))
-        groups.append(WeightGroup(sums, var, lo, hi))
-    return tuple(groups)
+    return tuple(WeightGroup(tuple(_parse_wsum(s) for s in part.split(",")), rng)
+                 for part, rng in _ranged_parts(text))
 
 
 def instantiate_weight_groups(
@@ -255,16 +274,7 @@ def instantiate_weight_groups(
     duals = [dual_weight_permutation(t) for t in factor_types]
     out: list[Vector] = []
     for g in groups:
-        if g.var is None:
-            values = [None]
-        else:
-            lo = exprs.evaluate_int(g.lo, params)
-            hi = exprs.evaluate_int(g.hi, params)
-            values = list(range(lo, hi + 1))
-        for value in values:
-            env = dict(params)
-            if g.var is not None:
-                env[g.var] = value
+        for env in _range_envs(g.rng, params):
             for terms in g.sums:
                 v = [Fraction(0)] * total
                 for dualize, factor, idx_expr in terms:
@@ -285,32 +295,29 @@ def instantiate_weight_groups(
 _CUT_TERM = re.compile(r"c\(([^()]*)\)\s*=\s*(.+)$")
 
 
-def instantiate_cut(text: str, params: dict, rank: int) -> Vector:
-    """Functional coefficients on a single factor's weight coordinates."""
-    coeffs = [Fraction(0)] * rank
-    for part in text.split("|"):
-        part = part.strip()
-        var = lo = hi = None
-        if ":" in part:
-            part, rng = part.split(":", 1)
-            m = re.match(r"\s*(\w+)\s*=\s*(.+?)\s*\.\.\s*(.+?)\s*$", rng)
-            if not m:
-                raise TableFormatError(f"bad range {rng!r}")
-            var, lo, hi = m.group(1), m.group(2), m.group(3)
+@lru_cache(maxsize=1024)
+def _parse_cut(text: str) -> tuple[tuple[str, str, tuple[str, str, str] | None], ...]:
+    """Cut terms as (index expr, coefficient expr, range or None)."""
+    terms = []
+    for part, rng in _ranged_parts(text):
         m = _CUT_TERM.match(part.strip())
         if not m:
             raise TableFormatError(f"bad cut term {part.strip()!r}")
-        values = [None]
-        if var is not None:
-            values = list(range(exprs.evaluate_int(lo, params), exprs.evaluate_int(hi, params) + 1))
-        for value in values:
-            env = dict(params)
-            if var is not None:
-                env[var] = value
-            idx = exprs.evaluate_int(m.group(1), env)
+        exprs.syntax_check(m.group(1))
+        exprs.syntax_check(m.group(2))
+        terms.append((m.group(1), m.group(2), rng))
+    return tuple(terms)
+
+
+def instantiate_cut(text: str, params: dict, rank: int) -> Vector:
+    """Functional coefficients on a single factor's weight coordinates."""
+    coeffs = [Fraction(0)] * rank
+    for idx_expr, coeff_expr, rng in _parse_cut(text):
+        for env in _range_envs(rng, params):
+            idx = exprs.evaluate_int(idx_expr, env)
             if not (1 <= idx <= rank):
                 raise ConstraintError(f"cut index {idx} out of range")
-            coeffs[idx - 1] += exprs.evaluate(m.group(2), env)
+            coeffs[idx - 1] += exprs.evaluate(coeff_expr, env)
     return tuple(coeffs)
 
 
@@ -382,13 +389,6 @@ def _validate_entry_syntax(entry: CatalogEntry) -> None:
             exprs.syntax_check(ip.arg)
     for c in entry.constraints:
         exprs.syntax_check_relation(c)
-    for g in entry.gens:
-        for terms in g.sums:
-            for _, _, idx in terms:
-                exprs.syntax_check(idx)
-        if g.var is not None:
-            exprs.syntax_check(g.lo)
-            exprs.syntax_check(g.hi)
     aux = entry.aux
     for key in ("zgen", "alpha", "kform"):
         if key in aux:
@@ -396,6 +396,8 @@ def _validate_entry_syntax(entry: CatalogEntry) -> None:
     for key in ("lam", "full", "sat"):
         if key in aux:
             parse_weight_groups(aux[key])
+    if "cut" in aux:
+        _parse_cut(aux["cut"])
     if "idx" in aux and not aux["idx"].isdigit():
         raise TableFormatError(f"idx must be a positive integer, got {aux['idx']!r}")
     if "norm" in aux:
@@ -553,10 +555,6 @@ class HItem:
         if len(self.targets) > 1 or self.targets != (0,):
             name += "@" + ",".join(str(t + 1) for t in self.targets)
         return name
-
-
-# the classification-facing name for the item model
-EmbeddingDescriptor = HItem
 
 
 @dataclass(frozen=True)
@@ -720,6 +718,43 @@ def _solve_assignments(entry: CatalogEntry, g_types: Sequence[SimpleType]):
     yield from rec(0, {})
 
 
+def _candidates(entry: CatalogEntry, g_types: Sequence[SimpleType], items: Sequence[HItem]):
+    """The single matching pass over one row.
+
+    Yields (params, factor_map, violated) for every assignment whose g
+    pattern and item multiset match the concrete factors and items, in
+    permutation order; `violated` is the first constraint the parameters
+    break, or None.  Violation-free candidates that fail the diagonal-type
+    check are skipped.
+    """
+    npos = len(entry.g_pattern)
+    if len(g_types) != npos:
+        return
+    for perm in itertools.permutations(range(npos)):
+        typed = [g_types[perm[p]] for p in range(npos)]
+        have = sorted(
+            (_item_key(it, g_types[it.targets[0]]),
+             tuple(sorted(perm.index(t) for t in it.targets)))
+            for it in items
+        )
+        for params in _solve_assignments(entry, typed):
+            want = sorted(
+                (_pattern_item_key(ip, params, typed[ip.targets[0]]),
+                 tuple(sorted(ip.targets)))
+                for ip in entry.h_pattern
+            )
+            if want != have:
+                continue
+            violated = next((c for c in entry.constraints
+                             if not exprs.check_relation(c, params)), None)
+            if violated is None and entry.h_pattern and entry.h_pattern[0].base == "diag":
+                # the diagonal item's type must be the common factor type
+                diag_items = [it for it in items if it.base == "diag"]
+                if not diag_items or diag_items[0].diag_type != typed[0]:
+                    continue
+            yield params, perm, violated
+
+
 def match_row(
     entry: CatalogEntry,
     g_types: Sequence[SimpleType],
@@ -731,36 +766,9 @@ def match_row(
     `g_types` assigned to pattern position p, or None when no admissible
     assignment exists.
     """
-    import itertools
-
-    npos = len(entry.g_pattern)
-    if len(g_types) != npos:
-        return None
-    for perm in sorted(set(itertools.permutations(range(npos)))):
-        typed = [g_types[perm[p]] for p in range(npos)]
-        for params in _solve_assignments(entry, typed):
-            try:
-                entry.check_constraints(params)
-            except ConstraintError:
-                continue
-            want = sorted(
-                (_pattern_item_key(ip, params, typed[ip.targets[0]]),
-                 tuple(sorted(ip.targets)))
-                for ip in entry.h_pattern
-            )
-            have = sorted(
-                (_item_key(it, g_types[it.targets[0]]),
-                 tuple(sorted(perm.index(t) for t in it.targets)))
-                for it in items
-            )
-            if want != have:
-                continue
-            if entry.h_pattern and entry.h_pattern[0].base == "diag":
-                # the diagonal item's type must be the common factor type
-                diag_items = [it for it in items if it.base == "diag"]
-                if not diag_items or diag_items[0].diag_type != typed[0]:
-                    continue
-            return params, tuple(perm)
+    for params, perm, violated in _candidates(entry, g_types, items):
+        if violated is None:
+            return params, perm
     return None
 
 
@@ -769,41 +777,15 @@ def match_t14(g_types: Sequence[SimpleType], items: Sequence[HItem]):
 
     Returns (entry, params, factor_map).  Raises ConstraintError with the
     nearest violated constraint when the shape matches a row but the
-    parameters fall outside its admissible range.
+    parameters fall outside its admissible range: the last violation met
+    in the pass over the rows.
     """
-    import itertools
-
-    catalog = get_catalog()
-    for entry in catalog.rows("T1.4"):
-        res = match_row(entry, g_types, items)
-        if res is not None:
-            return entry, res[0], res[1]
-    # nothing matched: look for a shape match with violated constraints, to
-    # name the offending inequality in the error text
     near_miss: str | None = None
-    for entry in catalog.rows("T1.4"):
-        npos = len(entry.g_pattern)
-        if len(g_types) != npos:
-            continue
-        for perm in sorted(set(itertools.permutations(range(npos)))):
-            typed = [g_types[perm[p]] for p in range(npos)]
-            for params in _solve_assignments(entry, typed):
-                want = sorted(
-                    (_pattern_item_key(ip, params, typed[ip.targets[0]]),
-                     tuple(sorted(ip.targets)))
-                    for ip in entry.h_pattern
-                )
-                have = sorted(
-                    (_item_key(it, g_types[it.targets[0]]),
-                     tuple(sorted(perm.index(t) for t in it.targets)))
-                    for it in items
-                )
-                if want != have:
-                    continue
-                for c in entry.constraints:
-                    if not exprs.check_relation(c, params):
-                        near_miss = f"{entry.row_id} requires {c!r}, violated at {params}"
-                        break
+    for entry in get_catalog().rows("T1.4"):
+        for params, perm, violated in _candidates(entry, g_types, items):
+            if violated is None:
+                return entry, params, perm
+            near_miss = f"{entry.row_id} requires {violated!r}, violated at {params}"
     if near_miss:
         raise ConstraintError(near_miss)
     return None

@@ -44,9 +44,6 @@ from .errors import (
 from .ratlinalg import RationalSubspace, span
 from .rootsystems import SimpleType, sl, so, sp, vo_to_bourbaki
 
-_FACTOR_TOKEN = re.compile(r"(sl|so|sp|spin|[ABCDEFG])\s*\(\s*(\d+)\s*\)|([EFG])(\d)|g2|f4|e6|e7|e8", re.I)
-
-
 def _err(text: str, pos: int, message: str):
     raise PairSyntaxError(f"{message} at offset {pos}: {text[pos:pos + 25]!r}", pos)
 
@@ -286,7 +283,10 @@ class _PairParser:
                 coef = Fraction(1)
                 m = re.match(r"(-?\d+(?:/\d+)?)\s*\*\s*(.*)$", term)
                 if m:
-                    coef, term = Fraction(m.group(1)), m.group(2).strip()
+                    try:
+                        coef, term = Fraction(m.group(1)), m.group(2).strip()
+                    except ZeroDivisionError:
+                        _err(self.text, zpos, f"zero denominator in coefficient {m.group(1)!r}")
                 elif term.startswith("-"):
                     coef, term = Fraction(-1), term[1:].strip()
                 m = re.fullmatch(r"z0\((\d+)\)", term)
@@ -462,6 +462,15 @@ def cmd_compute(expr: str, as_json: bool = False, bourbaki: bool = False, out=No
     return 0
 
 
+def _sample_params(entry: cat.CatalogEntry) -> list[dict]:
+    """The row's minimal parameters, and the shifted ones when they differ."""
+    tried = [cat.minimal_params(entry)]
+    bumped = cat.shifted_params(entry, 2)
+    if bumped != tried[0]:
+        tried.append(bumped)
+    return tried
+
+
 def _verify_table(table: str, out) -> list[cat.Check]:
     checks: list[cat.Check] = []
     catalog = get_catalog()
@@ -476,11 +485,7 @@ def _verify_table(table: str, out) -> list[cat.Check]:
             for l in ranks:
                 checks.extend(verify_entry(entry, {} if l is None else {"l": l}))
             continue
-        tried = [cat.minimal_params(entry)]
-        bumped = cat.shifted_params(entry, 2)
-        if bumped != tried[0]:
-            tried.append(bumped)
-        for params in tried:
+        for params in _sample_params(entry):
             checks.extend(verify_entry(entry, params))
     for c in checks:
         print(str(c), file=out)
@@ -492,11 +497,7 @@ def _verify_alpha_contracts(out) -> list[cat.Check]:
     checks = []
     catalog = get_catalog()
     for entry in catalog.rows("T1.6"):
-        tried = [cat.minimal_params(entry)]
-        bumped = cat.shifted_params(entry, 2)
-        if bumped != tried[0]:
-            tried.append(bumped)
-        for params in tried:
+        for params in _sample_params(entry):
             inst = instantiate(entry, params)
             try:
                 fn = engine.alpha_functional(entry, params)
@@ -541,11 +542,12 @@ def survey_pairs(max_rank: int):
     seen = []
     for entry in catalog.rows("T1.4") + catalog.rows("T1.6"):
         for params in cat.admissible_params(entry, bound=2 * max_rank + 3):
+            # admissible params resolve; drop the large ones before instantiating
+            if sum(tp.resolve(params).rank for tp in entry.g_pattern) > max_rank:
+                continue
             try:
                 inst = instantiate(entry, params)
             except CartanError:
-                continue
-            if sum(t.rank for t in inst.g_types) > max_rank:
                 continue
             center = None
             if entry.table == "T1.6":

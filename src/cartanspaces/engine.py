@@ -408,8 +408,8 @@ def _annihilator_in_block(rows: list, dim: int) -> list[Vector]:
 # public pipeline
 # ---------------------------------------------------------------------------
 
-def cartan_space(pair: ReductivePair) -> CartanResult:
-    """Compute the Cartan space with rank, essential part, and complexity."""
+def _assemble(pair: ReductivePair) -> tuple[list[Vector], EssentialPart, list[str]]:
+    """Every summand's vectors, the joined essential part and the trace."""
     vectors: list[Vector] = []
     indices: list[int] = []
     rows: list[Vector] = []
@@ -420,23 +420,22 @@ def cartan_space(pair: ReductivePair) -> CartanResult:
         indices.extend(res.essential_item_indices)
         rows.extend(res.essential_rows)
         trace.extend(res.trace)
-    space = span(vectors, pair.weight_ambient)
     indices.sort()
     ess = EssentialPart(tuple(indices), tuple(pair.items[i] for i in indices), tuple(rows))
+    return vectors, ess, trace
+
+
+def cartan_space(pair: ReductivePair) -> CartanResult:
+    """Compute the Cartan space with rank, essential part, and complexity."""
+    vectors, ess, trace = _assemble(pair)
+    space = span(vectors, pair.weight_ambient)
     c = complexity_of_space(pair, space)
     return CartanResult(space, space.dim, ess, c, tuple(trace))
 
 
 def essential_part(pair: ReductivePair) -> EssentialPart:
     """The maximal ideal of h with the same Cartan space."""
-    indices: list[int] = []
-    rows: list[Vector] = []
-    for s in _summands(pair):
-        res = _compute_summand(pair, s)
-        indices.extend(res.essential_item_indices)
-        rows.extend(res.essential_rows)
-    indices.sort()
-    return EssentialPart(tuple(indices), tuple(pair.items[i] for i in indices), tuple(rows))
+    return _assemble(pair)[1]
 
 
 def essential_pair(pair: ReductivePair, ess: EssentialPart | None = None) -> ReductivePair:

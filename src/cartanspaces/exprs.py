@@ -1,6 +1,6 @@
 """Arithmetic expressions used in catalog data files.
 
-Grammar (all arithmetic is exact, values are Fractions):
+Grammar (all arithmetic is exact):
 
     expr     := term (('+' | '-') term)*
     term     := unary (('*' | '/') unary)*
@@ -10,36 +10,41 @@ Grammar (all arithmetic is exact, values are Fractions):
     OP       := '<=' | '>=' | '<' | '>' | '!=' | '='
 
 Multiplication is always written explicitly ('2*n-1', never '2n-1').
+Each text is parsed once into a closure over the parameter dict, cached by
+the text.  Values are ints until a '/' is taken and Fractions from there
+on, so 'k/n' is an exact fraction and never a float.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import TableFormatError
 
-_TOKEN = re.compile(r"\s*(\d+|[a-zA-Z_]\w*|<=|>=|!=|[-+*/()<>=])")
+# any other character becomes a one-character token the grammar rejects
+_TOKEN = r"\d+|[a-zA-Z_]\w*|<=|>=|!=|[-+*/()<>=]|\S"
+_NAME = r"[a-zA-Z_]\w*"
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARE = {"<=": operator.le, ">=": operator.ge, "<": operator.lt,
+            ">": operator.gt, "=": operator.eq, "!=": operator.ne}
 
 
-@lru_cache(maxsize=4096)
-def _tokenize(text: str) -> tuple[str, ...]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise TableFormatError(f"bad token in expression {text!r} at position {pos}")
-        out.append(m.group(1))
-        pos = m.end()
-    return tuple(out)
+def _integer(value, text: str, params: dict) -> int:
+    if value.denominator != 1:
+        raise TableFormatError(f"expression {text!r} is not an integer at {params}")
+    return int(value)
 
 
 class _Parser:
-    def __init__(self, tokens, env: dict[str, Fraction]):
-        self.tokens = tokens
+    """Recursive descent over one text, returning a closure per node."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = re.findall(_TOKEN, text)
         self.pos = 0
-        self.env = env
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -47,171 +52,127 @@ class _Parser:
     def take(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise TableFormatError("unexpected end of expression")
+            raise TableFormatError(f"unexpected end of expression {self.text!r}")
         self.pos += 1
         return tok
 
-    def expr(self) -> Fraction:
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                value += self.term()
-            else:
-                value -= self.term()
-        return value
+    def expect(self, tok: str) -> None:
+        if self.take() != tok:
+            raise TableFormatError(f"missing {tok!r} in expression {self.text!r}")
 
-    def term(self) -> Fraction:
-        value = self.unary()
+    def whole(self, relation: bool):
+        fn = self.relation() if relation else self.expr()
+        if self.peek() is not None:
+            raise TableFormatError(f"trailing input in expression {self.text!r}")
+        return fn
+
+    def relation(self):
+        text = self.text
+        if self.tokens[:2] in (["odd", "("], ["even", "("]):
+            parity = int(self.take() == "odd")
+            self.take()
+            inner = self.expr()
+            self.expect(")")
+            return lambda p: _integer(inner(p), text, p) % 2 == parity
+        lhs = self.expr()
+        op = self.peek()
+        if op not in _COMPARE:
+            raise TableFormatError(f"not a relation: {text!r}")
+        self.take()
+        rhs, compare = self.expr(), _COMPARE[op]
+        return lambda p: compare(lhs(p), rhs(p))
+
+    def expr(self):
+        fn = self.term()
+        while self.peek() in ("+", "-"):
+            op = _ARITH[self.take()]
+            fn = _binary(op, fn, self.term())
+        return fn
+
+    def term(self):
+        fn = self.unary()
         while self.peek() in ("*", "/"):
             if self.take() == "*":
-                value *= self.unary()
+                fn = _binary(operator.mul, fn, self.unary())
             else:
-                value /= self.unary()
-        return value
+                fn = self.quotient(fn, self.unary())
+        return fn
 
-    def unary(self) -> Fraction:
+    def quotient(self, num, den):
+        text = self.text
+
+        def fn(p):
+            d = den(p)
+            if d == 0:
+                raise TableFormatError(f"division by zero in expression {text!r} at {p}")
+            return Fraction(num(p), d)
+        return fn
+
+    def unary(self):
         if self.peek() == "-":
             self.take()
-            return -self.unary()
+            inner = self.unary()
+            return lambda p: -inner(p)
         return self.atom()
 
-    def atom(self) -> Fraction:
+    def atom(self):
         tok = self.take()
         if tok == "(":
-            value = self.expr()
-            if self.take() != ")":
-                raise TableFormatError("missing ')' in expression")
-            return value
+            fn = self.expr()
+            self.expect(")")
+            return fn
         if tok.isdigit():
-            return Fraction(int(tok))
-        if re.fullmatch(r"[a-zA-Z_]\w*", tok):
-            if tok not in self.env:
-                raise TableFormatError(f"unbound parameter {tok!r}")
-            return Fraction(self.env[tok])
-        raise TableFormatError(f"unexpected token {tok!r}")
+            value = int(tok)
+            return lambda p: value
+        if re.fullmatch(_NAME, tok):
+            return self.parameter(tok)
+        raise TableFormatError(f"unexpected token {tok!r} in expression {self.text!r}")
+
+    def parameter(self, name: str):
+        text = self.text
+
+        def fn(p):
+            try:
+                value = p[name]
+            except KeyError:
+                raise TableFormatError(f"unbound parameter {name!r} in expression {text!r}") from None
+            if isinstance(value, str):
+                raise TableFormatError(
+                    f"parameter {name!r} is {value!r}, not a number, in expression {text!r}")
+            return value
+        return fn
+
+
+def _binary(op, lhs, rhs):
+    return lambda p: op(lhs(p), rhs(p))
 
 
 @lru_cache(maxsize=4096)
-def _compile(text: str):
-    """Compile an expression to a code object after validating its tokens.
-
-    Division is mapped onto Fraction arithmetic so evaluation stays exact;
-    expressions without division run in plain integer arithmetic.
-    """
-    tokens = _tokenize(text)
-    allowed = re.compile(r"\d+$|[a-zA-Z_]\w*$|[-+*/()]$")
-    for tok in tokens:
-        if not allowed.match(tok):
-            raise TableFormatError(f"unexpected token {tok!r} in expression {text!r}")
-    # validate the structure with the reference parser
-    p = _Parser(tokens, _AnyEnv())
-    try:
-        p.expr()
-    except ZeroDivisionError:
-        pass
-    if p.peek() is not None:
-        raise TableFormatError(f"trailing input in expression {text!r}")
-    has_div = "/" in tokens
-    if has_div:
-        source = "".join(f"F({tok})" if tok.isdigit() else tok for tok in tokens)
-    else:
-        source = "".join(tokens)
-    return compile(source, f"<expr {text!r}>", "eval"), has_div
-
-
-def _evaluate_raw(text: str, params: dict):
-    code, has_div = _compile(text)
-    env = {}
-    for k, v in params.items():
-        if isinstance(v, str):
-            continue
-        # with division in play everything must be a Fraction, or a slash
-        # between variables would fall into float arithmetic
-        env[k] = Fraction(v) if (has_div or not isinstance(v, int)) else v
-    if has_div:
-        env["F"] = Fraction
-    try:
-        return eval(code, {"__builtins__": {}}, env)  # closed token set, no names leak
-    except NameError as exc:
-        raise TableFormatError(f"unbound parameter in expression {text!r}: {exc}")
-    except ZeroDivisionError:
-        raise TableFormatError(f"division by zero in expression {text!r} at {params}")
+def _closure(text: str, relation: bool = False):
+    return _Parser(text).whole(relation)
 
 
 def evaluate(text: str, params: dict) -> Fraction:
-    return Fraction(_evaluate_raw(text, params))
+    return Fraction(_closure(text)(params))
 
 
 def evaluate_int(text: str, params: dict) -> int:
-    value = _evaluate_raw(text, params)
-    if isinstance(value, int):
-        return value
-    if value.denominator != 1:
-        raise TableFormatError(f"expression {text!r} is not an integer at {params}")
-    return int(value)
-
-
-_RELOP = re.compile(r"(<=|>=|!=|<|>|=)")
+    return _integer(_closure(text)(params), text, params)
 
 
 def check_relation(text: str, params: dict) -> bool:
-    text = text.strip()
-    m = re.fullmatch(r"odd\((.*)\)", text)
-    if m:
-        return evaluate_int(m.group(1), params) % 2 == 1
-    m = re.fullmatch(r"even\((.*)\)", text)
-    if m:
-        return evaluate_int(m.group(1), params) % 2 == 0
-    parts = _RELOP.split(text, maxsplit=1)
-    if len(parts) != 3:
-        raise TableFormatError(f"not a relation: {text!r}")
-    lhs, op, rhs = _evaluate_raw(parts[0], params), parts[1], _evaluate_raw(parts[2], params)
-    return {
-        "<=": lhs <= rhs,
-        ">=": lhs >= rhs,
-        "<": lhs < rhs,
-        ">": lhs > rhs,
-        "=": lhs == rhs,
-        "!=": lhs != rhs,
-    }[op]
+    return _closure(text, True)(params)
 
 
 def variables(text: str) -> set[str]:
     """All parameter names occurring in an expression or relation."""
-    names = set()
-    for tok in re.findall(r"[a-zA-Z_]\w*", text):
-        if tok not in ("odd", "even"):
-            names.add(tok)
-    return names
-
-
-class _AnyEnv(dict):
-    def __contains__(self, key):
-        return True
-
-    def __getitem__(self, key):
-        return Fraction(1)
+    return set(re.findall(_NAME, text)) - {"odd", "even"}
 
 
 def syntax_check(text: str) -> None:
-    """Parse an expression, binding every name to 1; raises on bad syntax."""
-    p = _Parser(_tokenize(text), _AnyEnv())
-    try:
-        p.expr()
-    except ZeroDivisionError:
-        pass
-    if p.peek() is not None:
-        raise TableFormatError(f"trailing input in expression {text!r}")
+    """Compile an expression; raises TableFormatError on bad syntax."""
+    _closure(text)
 
 
 def syntax_check_relation(text: str) -> None:
-    text = text.strip()
-    m = re.fullmatch(r"(odd|even)\((.*)\)", text)
-    if m:
-        syntax_check(m.group(2))
-        return
-    parts = _RELOP.split(text, maxsplit=1)
-    if len(parts) != 3:
-        raise TableFormatError(f"not a relation: {text!r}")
-    syntax_check(parts[0])
-    syntax_check(parts[2])
+    _closure(text, True)

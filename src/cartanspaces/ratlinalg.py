@@ -42,10 +42,6 @@ def dot(u: Vector, v: Vector):
     return sum(a * b for a, b in zip(u, v))
 
 
-def is_zero(v: Vector) -> bool:
-    return all(a == 0 for a in v)
-
-
 def rref(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     m = [list(map(Fraction, r)) for r in rows]
@@ -83,16 +79,10 @@ class RationalSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains_vector(self, v: Sequence) -> bool:
-        return member(self, v)
-
     def contains(self, other: "RationalSubspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionError("ambient dimensions differ")
         return all(member(self, b) for b in other.basis)
-
-    def __le__(self, other: "RationalSubspace") -> bool:
-        return other.contains(self)
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: int) -> RationalSubspace:

@@ -119,8 +119,18 @@ def test_match_t14_solves_parameters():
     entry, params, fmap = matched
     assert entry.row == "26" and fmap == (1, 0)
 
-    with pytest.raises(ConstraintError):
+    # a refusal names the nearest row and the inequality it breaks
+    with pytest.raises(ConstraintError) as err:
         match_t14([sl(5)], [HItem("sl", 2, (0,))])
+    assert str(err.value) == "T1.4:1 requires '2*k>=n+2', violated at {'k': 2, 'n': 5}"
+    with pytest.raises(ConstraintError) as err:
+        match_t14([sp(8), sp(8)],
+                  [HItem("sp", 6, (0,)), HItem("bridge", None, (0, 1)), HItem("sp", 6, (1,))])
+    assert str(err.value) == "T1.4:26 requires 'm>n', violated at {'m': 4, 'n': 4}"
+    # with several violations (k=1 breaks '2*k>=n', k=3 breaks 'k<=n-2') the last one is named
+    with pytest.raises(ConstraintError) as err:
+        match_t14([sl(4)], [HItem("sl", 1, (0,)), HItem("sl", 3, (0,))])
+    assert str(err.value) == "T1.4:2 requires 'k<=n-2', violated at {'k': 3, 'n': 4}"
     assert match_t14([sl(5)], [HItem("so", 5, (0,))]) is None
 
 

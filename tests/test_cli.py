@@ -95,6 +95,22 @@ def test_parse_errors_with_offsets():
         parse_pair("qq(6)/sp(4)")
 
 
+def test_malformed_input_exits_1_with_offset(capsys):
+    cases = {
+        # a zero denominator in a central coefficient
+        "sl(5)/sl(3)+z=[1/0*pi_v(2)]": "zero denominator",
+        # a row parameter that is not a number
+        "sl(6)/T1.4:3(n=x)": "'n'",
+    }
+    for text, named in cases.items():
+        assert cmd_compute(text) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and named in err, err
+        offset = int(err.split("at offset ")[1].split(":")[0])
+        assert 0 <= offset <= len(text)
+        assert "is not defined" not in err
+
+
 def test_print_parse_identity():
     expressions = [
         "sl(6)/sp(6)",
