@@ -523,6 +523,19 @@ class HItem:
     targets: tuple[int, ...]
     diag_type: SimpleType | None = None
 
+    def __post_init__(self):
+        b, n = self.base, self.size
+        if b in ("sl", "so", "sp", "spin") and not isinstance(n, int):
+            raise ConstraintError(f"{b} needs an integer size, got {n!r}")
+        if b == "sp" and (n % 2 or n < 2):
+            raise ConstraintError(f"sp({n}) is not an algebra")
+        if b == "sl" and n < 2:
+            raise ConstraintError(f"sl({n}) is not simple")
+        if b == "so" and n < 3:
+            raise ConstraintError(f"so({n}) is not available")
+        if b == "spin" and n != 7:
+            raise ConstraintError("only spin(7) is a named spinor subalgebra")
+
     @property
     def dim(self) -> int:
         if self.base in ("sl", "so", "sp", "spin"):

