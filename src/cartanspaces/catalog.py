@@ -18,7 +18,7 @@ import itertools
 import os
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -325,6 +325,9 @@ def instantiate_cut(text: str, params: dict, rank: int) -> Vector:
 # catalog entries
 # ---------------------------------------------------------------------------
 
+_AFFINE_ARG = re.compile(r"(?:([1-9]\d*)\*)?([A-Za-z_]\w*)([+-]\d+)?")
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     table: str
@@ -349,6 +352,20 @@ class CatalogEntry:
             else:
                 parts.append(f'{key}="{value}"')
         return " ".join(parts)
+
+    @cached_property
+    def affine_args(self) -> dict[str, tuple[tuple[int, int], ...]]:
+        """Variable -> (step, offset) of each g or h pattern argument
+        `[step*]name[+offset]` in that variable alone."""
+        out: dict[str, list] = {}
+        for arg in [tp.arg for tp in self.g_pattern] + [ip.arg for ip in self.h_pattern]:
+            if arg is None or len(exprs.variables(arg)) != 1:
+                continue
+            m = _AFFINE_ARG.fullmatch(arg.replace(" ", ""))
+            if not m:
+                raise TableFormatError(f"argument {arg!r} is not affine in its variable")
+            out.setdefault(m.group(2), []).append((int(m.group(1) or 1), int(m.group(3) or 0)))
+        return {name: tuple(found) for name, found in out.items()}
 
     def variables(self) -> tuple[str, ...]:
         names: set[str] = set()
@@ -389,6 +406,11 @@ def _validate_entry_syntax(entry: CatalogEntry) -> None:
             exprs.syntax_check(ip.arg)
     for c in entry.constraints:
         exprs.syntax_check_relation(c)
+    if entry.table in ("T1.4", "T1.6"):
+        # matching binds each variable from the arguments it occurs alone in
+        missing = set(entry.variables()) - set(entry.affine_args) - {"s"}
+        if missing:
+            raise TableFormatError(f"variable {min(missing)!r} occurs alone in no pattern argument")
     aux = entry.aux
     for key in ("zgen", "alpha", "kform"):
         if key in aux:
@@ -455,6 +477,15 @@ class Catalog:
                 if key in self.entries:
                     raise TableFormatError(f"{path.name}:{lineno}: duplicate row {key}")
                 self.entries[key] = entry
+        # family rows by (factor, items), instantiated once for this catalog
+        self.family_row = lru_cache(maxsize=4096)(self._family_row)
+
+    def _family_row(self, g_type: SimpleType, local: tuple[HItem, ...]) -> RowInstance | None:
+        for entry in self.rows("T1.6"):
+            res = match_row(entry, [g_type], list(local))
+            if res is not None:
+                return instantiate(entry, res[0])
+        return None
 
     @staticmethod
     def _build_entry(rec: dict[str, str]) -> CatalogEntry:
@@ -678,57 +709,23 @@ def _pattern_item_key(ip: ItemPattern, params: dict, context: SimpleType) -> tup
     return _canonical_item_key(ip.base, size, context)
 
 
-def _param_domain(entry: CatalogEntry, g_types: Sequence[SimpleType]) -> dict[str, list]:
-    bound = max((t.classical_size or (t.rank + 1)) for t in g_types) + 2
-    domain: dict[str, list] = {}
-    for v in entry.variables():
-        if v == "s":
-            domain[v] = sorted({t.series for t in g_types})
-        else:
-            domain[v] = list(range(0, bound + 1))
-    return domain
-
-
-def _solve_assignments(entry: CatalogEntry, g_types: Sequence[SimpleType]):
+def _solve_assignments(entry: CatalogEntry, g_types: Sequence[SimpleType], sizes: set):
     """Yield parameter dicts making the row's g pattern equal the given types.
 
-    The search assigns one variable at a time and tests every ambient factor
-    as soon as all of its variables are bound, so mismatching branches are
-    pruned early.
+    Every variable but the series `s` occurs alone in an affine pattern
+    argument (checked at load), and in a match that argument is one of the
+    pair's sizes or ranks.  So only the values solving such an argument for
+    such a size are tried, in lexicographic order.
     """
-    if len(entry.g_pattern) != len(g_types):
-        return
-    domain = _param_domain(entry, g_types)
-    names = list(domain)
-    factor_vars = []
-    for tp in entry.g_pattern:
-        needed = set()
-        if tp.arg:
-            needed = exprs.variables(tp.arg)
-        if tp.base == "X":
-            needed.add("s")
-        factor_vars.append(needed)
-    checkpoints: list[list[int]] = [[] for _ in range(len(names) + 1)]
-    for f, needed in enumerate(factor_vars):
-        last = 0
-        for i, name in enumerate(names):
-            if name in needed:
-                last = i + 1
-        checkpoints[last].append(f)
-
-    def rec(i: int, params: dict):
-        for f in checkpoints[i]:
-            if not _pattern_matches_type(entry.g_pattern[f], g_types[f], params):
-                return
-        if i == len(names):
-            yield dict(params)
-            return
-        for value in domain[names[i]]:
-            params[names[i]] = value
-            yield from rec(i + 1, params)
-        del params[names[i]]
-
-    yield from rec(0, {})
+    names = entry.variables()
+    domains = [sorted({t.series for t in g_types}) if name == "s" else
+               sorted({(size - offset) // step for step, offset in entry.affine_args[name]
+                       for size in sizes if size >= offset and (size - offset) % step == 0})
+               for name in names]
+    for combo in itertools.product(*domains):
+        params = dict(zip(names, combo))
+        if all(_pattern_matches_type(tp, t, params) for tp, t in zip(entry.g_pattern, g_types)):
+            yield params
 
 
 def _candidates(entry: CatalogEntry, g_types: Sequence[SimpleType], items: Sequence[HItem]):
@@ -743,6 +740,10 @@ def _candidates(entry: CatalogEntry, g_types: Sequence[SimpleType], items: Seque
     npos = len(entry.g_pattern)
     if len(g_types) != npos:
         return
+    sizes = {it.size for it in items if it.size is not None} | {t.rank for t in g_types}
+    sizes |= {t.classical_size for t in g_types if t.classical_size is not None}
+    if sizes & {2, 3}:
+        sizes |= {2, 3}  # sl(2), sp(2) and so(3) coincide inside sp(n)
     for perm in itertools.permutations(range(npos)):
         typed = [g_types[perm[p]] for p in range(npos)]
         have = sorted(
@@ -750,7 +751,7 @@ def _candidates(entry: CatalogEntry, g_types: Sequence[SimpleType], items: Seque
              tuple(sorted(perm.index(t) for t in it.targets)))
             for it in items
         )
-        for params in _solve_assignments(entry, typed):
+        for params in _solve_assignments(entry, typed, sizes):
             want = sorted(
                 (_pattern_item_key(ip, params, typed[ip.targets[0]]),
                  tuple(sorted(ip.targets)))
@@ -804,26 +805,16 @@ def match_t14(g_types: Sequence[SimpleType], items: Sequence[HItem]):
     return None
 
 
-def family_row_for_factor(
-    g_type: SimpleType, items: Sequence[HItem]
-) -> tuple[CatalogEntry, dict] | None:
-    """The central-extension family covering one factor's items, if any."""
+def family_row_for_factor(g_type: SimpleType, items: Sequence[HItem]) -> RowInstance | None:
+    """The central-extension family row covering one factor's items, if any,
+    instantiated at the matched parameters (cached by the catalog)."""
     if not items or any(len(it.targets) != 1 for it in items):
         return None
     if any(it.base in ("diag", "bridge") for it in items):
         return None
     local = tuple(sorted((_retarget(it, (0,)) for it in items),
                          key=lambda it: (it.base, it.size or 0)))
-    return _family_row_cached(get_catalog(), g_type, local)
-
-
-@lru_cache(maxsize=4096)
-def _family_row_cached(catalog: "Catalog", g_type: SimpleType, local: tuple):
-    for entry in catalog.rows("T1.6"):
-        res = match_row(entry, [g_type], list(local))
-        if res is not None:
-            return entry, res[0]
-    return None
+    return get_catalog().family_row(g_type, local)
 
 
 def _retarget(item: HItem, targets: tuple[int, ...]) -> HItem:

@@ -26,7 +26,6 @@ input error, 2 outside the encoded tables.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
@@ -48,46 +47,49 @@ def _err(text: str, pos: int, message: str):
     raise PairSyntaxError(f"{message} at offset {pos}: {text[pos:pos + 25]!r}", pos)
 
 
+def _number(text: str, pos: int, digits: str, kind=int):
+    """Every integer and coefficient of the grammar is read here, so that a
+    zero denominator or a number too long to convert is an input error."""
+    try:
+        return kind(digits)
+    except ZeroDivisionError:
+        _err(text, pos, f"zero denominator in coefficient {digits!r}")
+    except ValueError:
+        _err(text, pos, f"number too long to read ({len(digits)} characters)")
+
+
 def _parse_factor(token: str, text: str, pos: int) -> SimpleType:
     token = token.strip()
-    m = re.fullmatch(r"(sl|so|sp)\((\d+)\)", token)
-    if m:
-        try:
-            return {"sl": sl, "so": so, "sp": sp}[m.group(1)](int(m.group(2)))
-        except ConstraintError as exc:
-            _err(text, pos, str(exc))
-    m = re.fullmatch(r"([ABCDEFG])\((\d+)\)", token)
-    if m:
-        try:
-            return SimpleType(m.group(1), int(m.group(2)))
-        except ConstraintError as exc:
-            _err(text, pos, str(exc))
-    m = re.fullmatch(r"([EFG])(\d)", token)
-    if m:
-        try:
-            return SimpleType(m.group(1), int(m.group(2)))
-        except ConstraintError as exc:
-            _err(text, pos, str(exc))
-    _err(text, pos, f"bad algebra factor {token!r}")
+    m = (re.fullmatch(r"(sl|so|sp)\((\d+)\)", token) or re.fullmatch(r"([ABCDEFG])\((\d+)\)", token)
+         or re.fullmatch(r"([EFG])(\d)", token))
+    if not m:
+        _err(text, pos, f"bad algebra factor {token!r}")
+    name, size = m.group(1), _number(text, pos, m.group(2))
+    try:
+        if name in ("sl", "so", "sp"):
+            return {"sl": sl, "so": so, "sp": sp}[name](size)
+        return SimpleType(name, size)
+    except ConstraintError as exc:
+        _err(text, pos, str(exc))
 
 
 _ITEM_NAMES = {"g2": "g2", "f4": "f4", "e6": "e6", "e7": "e7", "sl2long": "sl2long"}
 
 
-def _named_item_base(token: str) -> tuple[str, int | None] | None:
+def _named_item_base(token: str, text: str, pos: int) -> tuple[str, int | None] | None:
     token = token.strip()
     low = token.lower()
     if low in _ITEM_NAMES:
         return (_ITEM_NAMES[low], None)
     m = re.fullmatch(r"spin\((\d+)\)", low)
     if m:
-        return ("spin", int(m.group(1)))
+        return ("spin", _number(text, pos, m.group(1)))
     m = re.fullmatch(r"(sl|so|sp)\((\d+)\)", low)
     if m:
-        return (m.group(1), int(m.group(2)))
+        return (m.group(1), _number(text, pos, m.group(2)))
     m = re.fullmatch(r"([ABCD])(\d+)", token) or re.fullmatch(r"([ABCD])\((\d+)\)", token)
     if m:
-        s, r = m.group(1), int(m.group(2))
+        s, r = m.group(1), _number(text, pos, m.group(2))
         return {"A": ("sl", r + 1), "B": ("so", 2 * r + 1),
                 "C": ("sp", 2 * r), "D": ("so", 2 * r)}[s]
     return None
@@ -124,7 +126,7 @@ class _PairParser:
             at = self.text.find(token, pos) if token else pos
             m = re.fullmatch(r"center\((\d+)\)", token)
             if m:
-                center += int(m.group(1))
+                center += _number(self.text, at, m.group(1))
             elif token:
                 factors.append(_parse_factor(token, self.text, at))
             else:
@@ -175,13 +177,14 @@ class _PairParser:
             pm = re.fullmatch(r"(\w+)\s*=\s*(\w+)", piece)
             if not pm:
                 _err(self.text, pos, f"bad row parameter {piece!r}")
-            params[pm.group(1)] = int(pm.group(2)) if pm.group(2).isdigit() else pm.group(2)
+            name, value = pm.groups()
+            params[name] = _number(self.text, pos, value) if value.isdigit() else value
         try:
             inst = instantiate(entry, params)
         except CartanError as exc:
             _err(self.text, pos, str(exc))
         if target_sel is not None:
-            targets = [int(x) - 1 for x in target_sel.split(",")]
+            targets = [_number(self.text, pos, x.strip()) - 1 for x in target_sel.split(",")]
         else:
             targets = self._match_row_factors(inst.g_types, factors, pos)
         if len(targets) != len(inst.g_types):
@@ -222,7 +225,7 @@ class _PairParser:
             return HItem("diag", None, targets, dtype)
         if token.lower() == "bridge":
             return HItem("bridge", None, self._two_targets(target_sel, pos, factors))
-        base = _named_item_base(token)
+        base = _named_item_base(token, self.text, pos)
         if base is None:
             _err(self.text, pos, f"unknown subalgebra item {token!r}")
         target = self._one_target(target_sel, pos, factors)
@@ -241,7 +244,7 @@ class _PairParser:
                 return 0
             _err(self.text, pos, "item needs an 'in' clause when the algebra has several factors")
         if sel.isdigit():
-            idx = int(sel) - 1
+            idx = _number(self.text, pos, sel) - 1
             if not (0 <= idx < len(factors)):
                 _err(self.text, pos, f"factor {sel} does not exist")
             return idx
@@ -259,7 +262,7 @@ class _PairParser:
         parts = [p.strip() for p in sel.split(",")]
         if len(parts) != 2 or not all(p.isdigit() for p in parts):
             _err(self.text, pos, f"bad target pair {sel!r}")
-        a, b = int(parts[0]) - 1, int(parts[1]) - 1
+        a, b = (_number(self.text, pos, p) - 1 for p in parts)
         for t in (a, b):
             if not (0 <= t < len(factors)):
                 _err(self.text, pos, f"factor {t + 1} does not exist")
@@ -278,15 +281,12 @@ class _PairParser:
                 coef = Fraction(1)
                 m = re.match(r"(-?\d+(?:/\d+)?)\s*\*\s*(.*)$", term)
                 if m:
-                    try:
-                        coef, term = Fraction(m.group(1)), m.group(2).strip()
-                    except ZeroDivisionError:
-                        _err(self.text, zpos, f"zero denominator in coefficient {m.group(1)!r}")
+                    coef, term = _number(self.text, zpos, m.group(1), Fraction), m.group(2).strip()
                 elif term.startswith("-"):
                     coef, term = Fraction(-1), term[1:].strip()
                 m = re.fullmatch(r"z0\((\d+)\)", term)
                 if m:
-                    j = int(m.group(1)) - 1
+                    j = _number(self.text, zpos, m.group(1)) - 1
                     if not (0 <= j < pair.center_dim):
                         _err(self.text, zpos, f"central coordinate z0({j + 1}) does not exist")
                     coords[j] += coef
@@ -294,9 +294,9 @@ class _PairParser:
                 m = re.fullmatch(r"pi_v\((\d+)\)(?:@(\d+))?", term)
                 if not m:
                     _err(self.text, zpos, f"bad central term {term!r}")
-                idx = int(m.group(1))
+                idx = _number(self.text, zpos, m.group(1))
                 if m.group(2) is not None:
-                    factor = int(m.group(2)) - 1
+                    factor = _number(self.text, zpos, m.group(2)) - 1
                 else:
                     if not slots:
                         _err(self.text, zpos, "no factor admits a central extension here")
@@ -307,13 +307,12 @@ class _PairParser:
                 if factor not in slots:
                     _err(self.text, zpos,
                          f"factor {factor + 1} admits no central extension")
-                fam = cat.family_row_for_factor(pair.factors[factor],
-                                                pair.items_on_factor(factor))
-                inst = instantiate(fam[0], fam[1])
-                if inst.aux["zgen"] != idx:
+                zgen = cat.family_row_for_factor(pair.factors[factor],
+                                                 pair.items_on_factor(factor)).aux["zgen"]
+                if zgen != idx:
                     _err(self.text, zpos,
                          f"pi_v({idx}) is not the central generator on factor {factor + 1} "
-                         f"(expected pi_v({inst.aux['zgen']}))")
+                         f"(expected pi_v({zgen}))")
                 coords[pair.center_dim + slots.index(factor)] += coef
             rows.append(tuple(coords))
         return span(rows, ambient)
@@ -353,9 +352,8 @@ def format_pair(pair: ReductivePair) -> str:
                     name = f"z0({j + 1})"
                 else:
                     factor = slots[j - pair.center_dim]
-                    fam = cat.family_row_for_factor(
-                        pair.factors[factor], pair.items_on_factor(factor))
-                    zgen = instantiate(fam[0], fam[1]).aux["zgen"]
+                    zgen = cat.family_row_for_factor(
+                        pair.factors[factor], pair.items_on_factor(factor)).aux["zgen"]
                     name = f"pi_v({zgen})@{factor + 1}"
                 terms.append(name if x == 1 else f"{x}*{name}")
             rows.append("+".join(terms))
@@ -591,6 +589,8 @@ def cmd_survey(max_rank: int, filt: str, out=None) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line needs it, not callers of the commands
+
     parser = argparse.ArgumentParser(
         prog="cartanspaces",
         description="Cartan spaces, rank and complexity of reductive subalgebra pairs")

@@ -85,11 +85,6 @@ class _Summand:
     center_rows: tuple[Vector, ...]   # rows of the central subspace (full z-coords)
 
 
-def _z_layout(pair: ReductivePair) -> tuple[tuple[int, ...], int]:
-    slots = pair.family_slots()
-    return slots, pair.center_dim + len(slots)
-
-
 def _summands(pair: ReductivePair) -> list[_Summand]:
     nf = len(pair.factors)
     znode = nf  # single node for the whole central torus
@@ -108,8 +103,8 @@ def _summands(pair: ReductivePair) -> list[_Summand]:
         for t in item.targets[1:]:
             union(item.targets[0], t)
 
-    slots, _ = _z_layout(pair)
     rows: tuple[Vector, ...] = pair.center.basis if pair.center else ()
+    slots = pair.family_slots() if rows else ()
     row_nodes: list[list[int]] = []
     for row in rows:
         nodes = []
@@ -160,7 +155,7 @@ def _summand_pair(pair: ReductivePair, s: _Summand) -> ReductivePair:
                         center_dim, items, None)
     if not s.center_rows:
         return sub
-    old_slots, _ = _z_layout(pair)
+    old_slots = pair.family_slots()
     cols: list[int] = []
     if s.has_center_block:
         cols.extend(range(pair.center_dim))
@@ -275,7 +270,6 @@ def alpha_functional(entry: CatalogEntry, params: dict, scale=1) -> LinearFuncti
 def _compute_summand(pair: ReductivePair, s: _Summand) -> _SummandResult:
     offsets = _factor_offsets(pair)
     full_dim = pair.weight_ambient
-    slots, _ = _z_layout(pair)
     items = [pair.items[i] for i in s.item_indices]
 
     # central-torus-only summand
@@ -316,26 +310,20 @@ def _compute_summand(pair: ReductivePair, s: _Summand) -> _SummandResult:
         # fallback: bare member of a central-extension family (the space is
         # the full weight block; the essential part collapses to zero)
         if all(len(it.targets) == 1 for it in items):
-            fams = []
-            for f in s.factor_indices:
-                local = [it for it in items if it.targets == (f,)]
-                fam = family_row_for_factor(pair.factors[f], local)
-                if fam is None:
-                    fams = None
-                    break
-                fams.append((f, fam))
-            if fams is not None:
+            fams = [(f, family_row_for_factor(pair.factors[f],
+                                              [it for it in items if it.targets == (f,)]))
+                    for f in s.factor_indices]
+            if all(inst is not None for _, inst in fams):
                 vectors, trace = [], []
-                for f, (entry, params) in fams:
-                    inst = instantiate(entry, params)
+                for f, inst in fams:
                     full_sp: RationalSubspace = inst.aux["full"]
                     if full_sp.dim != pair.factors[f].rank:
                         raise InternalConsistencyError(
-                            f"bare family member {entry.row_id} does not span its block")
+                            f"bare family member {inst.entry.row_id} does not span its block")
                     for b in full_sp.basis:
                         vectors.append(_place_block(full_dim, offsets[f], b))
-                    trace.append(f"{entry.row_id}{_params_str(params)} bare: full block, "
-                                 "essential part collapses")
+                    trace.append(f"{inst.entry.row_id}{_params_str(inst.params)} bare: "
+                                 "full block, essential part collapses")
                 return _SummandResult(vectors, [], [], trace)
         detail = near_miss or "no classification row matches"
         raise OutsideCatalogError(
@@ -351,20 +339,19 @@ def _compute_summand(pair: ReductivePair, s: _Summand) -> _SummandResult:
             raise OutsideCatalogError(
                 f"central part attached to a summand with the cross-factor item "
                 f"{it.describe()}; no table covers this")
+    slots = pair.family_slots()
     space_vectors: list[Vector] = []
     sat_vectors: list[Vector] = []
     alpha_by_col: dict[int, Vector] = {}  # z-coordinate -> ambient covector
     trace: list[str] = []
     for f in s.factor_indices:
         local = [pair.items[i] for i in s.item_indices if pair.items[i].targets == (f,)]
-        fam = family_row_for_factor(pair.factors[f], local)
-        if fam is None:
+        inst = family_row_for_factor(pair.factors[f], local)
+        if inst is None:
             raise OutsideCatalogError(
                 "the ideals on factor " + str(pair.factors[f]) + " ("
                 + (" + ".join(it.describe() for it in local) or "none")
                 + ") admit no central extension in the encoded families")
-        entry, params = fam
-        inst = instantiate(entry, params)
         rank = pair.factors[f].rank
         full_sp: RationalSubspace = inst.aux["full"]
         sat_sp: RationalSubspace = inst.aux["sat"]
@@ -375,7 +362,7 @@ def _compute_summand(pair: ReductivePair, s: _Summand) -> _SummandResult:
         coeffs = _solve_alpha(full_sp, sat_sp, inst.aux["lam"], inst.aux["alpha_value"], rank)
         col = pair.center_dim + slots.index(f)
         alpha_by_col[col] = _place_block(full_dim, offsets[f], coeffs)
-        trace.append(f"{entry.row_id}{_params_str(params)} with central part")
+        trace.append(f"{inst.entry.row_id}{_params_str(inst.params)} with central part")
     zoff = pair.rank_g
     if s.has_center_block:
         for j in range(pair.center_dim):
@@ -442,7 +429,7 @@ def essential_part(pair: ReductivePair) -> EssentialPart:
 def essential_pair(pair: ReductivePair, ess: EssentialPart | None = None) -> ReductivePair:
     """The essential part repackaged as a pair on the same ambient algebra."""
     ess = ess if ess is not None else essential_part(pair)
-    old_slots, _ = _z_layout(pair)
+    old_slots = pair.family_slots()
     items = tuple(pair.items[i] for i in ess.item_indices)
     sub = ReductivePair(pair.factors, pair.center_dim, items, None)
     cols = list(range(pair.center_dim))

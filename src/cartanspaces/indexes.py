@@ -124,11 +124,8 @@ def screen_nontrivial_ssgp(pair: ReductivePair) -> ScreenVerdict:
     values: list[tuple[str, Fraction]] = []
     for item in pair.items:
         try:
-            # additivity over the factors the ideal projects into
-            total = Fraction(0)
-            for t in item.targets:
-                total += per_factor_index(item, pair.factors[t]) * Fraction(_k_of_type(pair.factors[t]))
-            l = total / _k_of_type(item.simple_type) - 1
+            # the index plus one is additive over the factors the ideal projects into
+            l = sum(module_index_complement(pair.factors[t], item) + 1 for t in item.targets) - 1
         except ConstraintError as exc:
             return ScreenVerdict("unknown", f"index not computable for {item.describe()}: {exc}")
         values.append((item.describe(), l))

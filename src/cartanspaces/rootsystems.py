@@ -196,7 +196,6 @@ class RootSystem:
     stype: SimpleType
     ambient_dim: int
     simple_roots: tuple[Vector, ...]
-    roots: tuple[Vector, ...]
     positive_roots: tuple[Vector, ...]
     positive_coords: tuple[tuple[int, ...], ...]
     simple_norms: tuple[int, ...]
@@ -206,6 +205,13 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return self.stype.rank
+
+    @cached_property
+    def roots(self) -> tuple[Vector, ...]:
+        """All roots, sorted, built from the positive ones on first use (the
+        complexity count reads only the positive ones)."""
+        negative = tuple(tuple(map(neg, r)) for r in self.positive_roots)
+        return tuple(sorted(self.positive_roots + negative))
 
     @cached_property
     def fundamental_weights(self) -> tuple[Vector, ...]:
@@ -297,15 +303,10 @@ def build_root_system(t: SimpleType) -> RootSystem:
     positive = tuple(sorted(seen))
     if 2 * len(positive) != t.dim - l:
         raise ConstraintError("reflection closure produced the wrong number of roots")
-    # roots are kept in integer coordinates (still exact rationals for all
-    # consumers; Fractions mix freely with them)
-    roots = tuple(sorted(positive + tuple(tuple(map(neg, r)) for r in positive)))
-
     return RootSystem(
         stype=t,
         ambient_dim=m,
         simple_roots=tuple(simple),
-        roots=roots,
         positive_roots=positive,
         positive_coords=tuple(seen[r] for r in positive),
         simple_norms=norms,

@@ -1,7 +1,10 @@
+import itertools
+import random
 from fractions import Fraction as Q
 
 import pytest
 
+from cartanspaces import catalog as cat
 from cartanspaces.catalog import (
     Catalog,
     HItem,
@@ -16,8 +19,9 @@ from cartanspaces.catalog import (
     shifted_params,
     verify_entry,
 )
+from cartanspaces.cli import survey_pairs
 from cartanspaces.errors import ConstraintError, TableFormatError
-from cartanspaces.exprs import check_relation, evaluate
+from cartanspaces.exprs import check_relation, evaluate, variables
 from cartanspaces.rootsystems import SimpleType, sl, so, sp
 
 
@@ -90,16 +94,42 @@ def test_parse_error_reports_line_number(tmp_path, monkeypatch):
     assert "t32.tbl:" in str(err.value)
 
 
-def test_data_dir_override(tmp_path, monkeypatch):
+def _copy_tables(tmp_path, old: str = "", new: str = ""):
+    """The tables copied to tmp_path, with `old` replaced once by `new` in t14.tbl."""
     src = get_catalog().data_dir
     for f in src.iterdir():
         (tmp_path / f.name).write_text(f.read_text())
+    t14 = tmp_path / "t14.tbl"
+    assert old in t14.read_text()
+    t14.write_text(t14.read_text().replace(old, new, 1))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("g=sl(n) ", "g=sl(n*n) ", "'n*n' is not affine"),
+    ('constraint="n>=2"', 'constraint="n>=2; j>=1"', "'j' occurs alone in no pattern"),
+])
+def test_row_variables_must_occur_alone_in_affine_arguments(tmp_path, monkeypatch,
+                                                            old, new, message):
+    # matching binds every variable through such an argument
+    _copy_tables(tmp_path, old, new)
+    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    with pytest.raises(TableFormatError) as err:
+        get_catalog()
+    assert str(err.value).startswith("t14.tbl:") and message in str(err.value)
+
+
+def test_data_dir_override(tmp_path, monkeypatch):
+    src = get_catalog().data_dir
+    _copy_tables(tmp_path)
     monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
     cat2 = get_catalog()
     assert cat2.data_dir == tmp_path
     assert lookup("T3.2", "G").aux["kform"] == "16"
+    assert family_row_for_factor(sl(5), [HItem("sl", 3, (0,))]).entry is lookup("T1.6", 1)
     monkeypatch.delenv("CARTAN_DATA_DIR")
     assert get_catalog().data_dir == src
+    # family rows are cached by the catalog, so none from the other directory
+    assert family_row_for_factor(sl(5), [HItem("sl", 3, (0,))]).entry is lookup("T1.6", 1)
 
 
 def test_match_t14_solves_parameters():
@@ -128,22 +158,88 @@ def test_match_t14_solves_parameters():
                   [HItem("sp", 6, (0,)), HItem("bridge", None, (0, 1)), HItem("sp", 6, (1,))])
     assert str(err.value) == "T1.4:26 requires 'm>n', violated at {'m': 4, 'n': 4}"
     assert match_t14([sl(5)], [HItem("so", 5, (0,))]) is None
+    # an item larger than its factor still binds k and names the bound it breaks
+    with pytest.raises(ConstraintError) as err:
+        match_t14([sl(4)], [HItem("sl", 7, (0,))])
+    assert str(err.value) == "T1.4:1 requires 'k<=n', violated at {'k': 7, 'n': 4}"
+
+
+def _reference_assignments(entry, g_types, _sizes):
+    """The bounded search that matching used before binding parameters from
+    sizes: every variable over 0..(largest factor size)+2, each factor tested
+    as soon as all of its variables are bound."""
+    bound = max((t.classical_size or (t.rank + 1)) for t in g_types) + 2
+    names = list(entry.variables())
+    domain = {v: sorted({t.series for t in g_types}) if v == "s" else range(bound + 1)
+              for v in names}
+    checkpoints = [[] for _ in range(len(names) + 1)]
+    for f, tp in enumerate(entry.g_pattern):
+        needed = (variables(tp.arg) if tp.arg else set()) | ({"s"} if tp.base == "X" else set())
+        last = max((i + 1 for i, v in enumerate(names) if v in needed), default=0)
+        checkpoints[last].append(f)
+
+    def rec(i, params):
+        for f in checkpoints[i]:
+            if not cat._pattern_matches_type(entry.g_pattern[f], g_types[f], params):
+                return
+        if i == len(names):
+            yield dict(params)
+            return
+        for value in domain[names[i]]:
+            params[names[i]] = value
+            yield from rec(i + 1, params)
+        del params[names[i]]
+
+    yield from rec(0, {})
+
+
+def _matching_shapes():
+    """Factors and items of every survey pair up to rank 6, then seeded
+    one- and two-item shapes whose items are no larger than their factor."""
+    shapes = [(pair.factors, pair.items) for _, pair, _ in survey_pairs(6)]
+    rng = random.Random(2006)
+    kinds = {"sl": (sl, 2, 1), "so": (so, 5, 1), "sp": (sp, 4, 2)}
+    for _ in range(150):
+        make, lo, step = kinds[rng.choice(sorted(kinds))]
+        n = rng.randrange(lo, 11, step)
+        items = []
+        for _ in range(rng.randint(1, 2)):
+            base = rng.choice(["sl", "so", "sp"])
+            lo_item, step_item = {"sl": (2, 1), "so": (3, 1), "sp": (2, 2)}[base]
+            if n >= lo_item:
+                items.append(HItem(base, rng.randrange(lo_item, n + 1, step_item), (0,)))
+        shapes.append(((make(n),), tuple(items)))
+    return shapes
+
+
+def test_candidates_match_the_bounded_search(monkeypatch):
+    # binding parameters from sizes yields exactly the old candidates, in
+    # the same order, whenever the old bound cut nothing off
+    rows = get_catalog().rows("T1.4") + get_catalog().rows("T1.6")
+    shapes = _matching_shapes()
+    cases = list(itertools.product(shapes, rows))
+    solved = [list(cat._candidates(entry, g, items)) for (g, items), entry in cases]
+    monkeypatch.setattr(cat, "_solve_assignments", _reference_assignments)
+    for ((g, items), entry), got in zip(cases, solved):
+        assert got == list(cat._candidates(entry, g, items)), (entry.row_id, g, items)
+    violations = [violated for found in solved for _, _, violated in found]
+    assert None in violations and len(set(violations)) >= 10  # matches and near misses
 
 
 def test_family_rows():
     fam = family_row_for_factor(sl(5), [HItem("sl", 3, (0,))])
-    assert fam is not None and fam[0].row == "1" and fam[1] == {"n": 5, "k": 3}
+    assert fam is not None and fam.entry.row == "1" and fam.params == {"n": 5, "k": 3}
     assert family_row_for_factor(sl(4), [HItem("sl", 2, (0,))]) is None  # 2k = n
     fam = family_row_for_factor(sl(5), [HItem("sp", 4, (0,))])
-    assert fam[0].row == "3" and fam[1] == {"n": 2}
+    assert fam.entry.row == "3" and fam.params == {"n": 2}
     fam = family_row_for_factor(so(10), [HItem("sl", 5, (0,))])
-    assert fam[0].row == "4" and fam[1] == {"n": 2}
+    assert fam.entry.row == "4" and fam.params == {"n": 2}
     assert family_row_for_factor(so(8), [HItem("sl", 4, (0,))]) is None  # even case
     fam = family_row_for_factor(SimpleType("E", 6), [HItem("so", 10, (0,))])
-    assert fam[0].row == "5"
+    assert fam.entry.row == "5"
     # the two-ideal family on one factor
     fam = family_row_for_factor(sl(7), [HItem("sl", 4, (0,)), HItem("sl", 3, (0,))])
-    assert fam[0].row == "2" and fam[1] == {"n": 7, "k": 4}
+    assert fam.entry.row == "2" and fam.params == {"n": 7, "k": 4}
     assert family_row_for_factor(sl(8), [HItem("sl", 4, (0,)), HItem("sl", 4, (0,))]) is None
 
 

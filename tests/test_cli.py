@@ -121,6 +121,22 @@ def test_malformed_input_exits_1_with_offset(capsys):
         assert "is not defined" not in err
 
 
+BIG = "9" * 5000  # above Python's 4300-digit limit for int()
+
+
+@pytest.mark.parametrize("text", [
+    f"sl(4)/sl({BIG})",
+    f"A({BIG})/sl(2)",
+    f"sl(6)/T1.4:1(n={BIG},k=3)",
+    f"sl(4)+sl(4)/sl(3) in {BIG}",
+    f"sl(5)/sl(3)+z=[{BIG}*pi_v(2)]",
+], ids=["item-size", "factor-rank", "row-parameter", "in-target", "coefficient"])
+def test_number_too_long_exits_1_with_offset(text, capsys):
+    assert cmd_compute(text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: number too long to read (5000 characters) at offset ")
+
+
 def test_print_parse_identity():
     expressions = [
         "sl(6)/sp(6)",

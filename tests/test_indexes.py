@@ -76,6 +76,14 @@ def test_screening_verdicts():
     v = screen_nontrivial_ssgp(ReductivePair((sl(6),), 0, (HItem("sp", 6, (0,)),)))
     assert v.kind == "possibly-nontrivial"
 
+    # items in two factors add their per-factor terms
+    v = screen_nontrivial_ssgp(
+        ReductivePair((sl(3), sl(3)), 0, (HItem("diag", None, (0, 1), sl(3)),)))
+    assert v.index_values == (("diag(sl(3))@1,2", 1),)
+    v = screen_nontrivial_ssgp(ReductivePair(
+        (sp(6), sl(2)), 0, (HItem("sp", 4, (0,)), HItem("bridge", None, (0, 1)))))
+    assert v.index_values == (("sp(4)", Q(1, 3)), ("bridge@1,2", 2))
+
     # index not computable: named with the offending ideal
     v = screen_nontrivial_ssgp(ReductivePair((sp(8),), 0, (HItem("sl", 4, (0,)),)))
     assert v.kind == "unknown" and "sl(4)" in v.detail
