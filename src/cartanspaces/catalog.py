@@ -32,6 +32,7 @@ from .ratlinalg import (
     span,
 )
 from .rootsystems import (
+    AMBIENT_CEILING,
     SimpleType,
     build_root_system,
     dual_weight_permutation,
@@ -617,6 +618,10 @@ class ReductivePair:
     center: RationalSubspace | None = None
 
     def __post_init__(self):
+        if self.weight_ambient > AMBIENT_CEILING:
+            raise ConstraintError(
+                f"weight ambient {self.weight_ambient} (rank {self.rank_g} plus "
+                f"center({self.center_dim})) is above {AMBIENT_CEILING}")
         for item in self.items:
             for t in item.targets:
                 if not (0 <= t < len(self.factors)):
@@ -692,21 +697,22 @@ def _pattern_matches_type(tp: TypePattern, t: SimpleType, params: dict) -> bool:
         return False
 
 
-def _canonical_item_key(base: str, size: int | None, context: SimpleType) -> tuple:
-    # Inside a symplectic factor the rank-one corner items coincide:
-    # any of sl(2)/sp(2)/so(3) is the same two-by-two block.
+def canonical_item_key(base: str, size: int | None, context: SimpleType) -> tuple:
+    """(base, size) of an item in a factor of type `context`.  Inside a
+    symplectic factor the rank-one corner items coincide: any of
+    sl(2)/sp(2)/so(3) is the same two-by-two block, keyed as sl(2)."""
     if context.series == "C" and (base, size) in {("sp", 2), ("so", 3)}:
         return ("sl", 2)
     return (base, size)
 
 
 def _item_key(item: HItem, context: SimpleType) -> tuple:
-    return _canonical_item_key(item.base, item.size, context)
+    return canonical_item_key(item.base, item.size, context)
 
 
 def _pattern_item_key(ip: ItemPattern, params: dict, context: SimpleType) -> tuple:
     size = exprs.evaluate_int(ip.arg, params) if ip.arg else None
-    return _canonical_item_key(ip.base, size, context)
+    return canonical_item_key(ip.base, size, context)
 
 
 def _solve_assignments(entry: CatalogEntry, g_types: Sequence[SimpleType], sizes: set):
@@ -853,8 +859,7 @@ def instantiate(entry: CatalogEntry, params: dict) -> RowInstance:
     for ip in entry.h_pattern:
         size = exprs.evaluate_int(ip.arg, params) if ip.arg else None
         diag_type = g_types[ip.targets[0]] if ip.base == "diag" else None
-        base, size = _canonical_item_key(ip.base, size, g_types[ip.targets[0]]) \
-            if ip.base in ("sl", "so", "sp") else (ip.base, size)
+        base, size = canonical_item_key(ip.base, size, g_types[ip.targets[0]])
         items.append(HItem(base, size, ip.targets, diag_type))
     gens = tuple(instantiate_weight_groups(entry.gens, params, g_types)) if entry.gens else ()
     aux: dict = {}
@@ -997,40 +1002,20 @@ _SERIES_ORDER = ["A", "B", "C", "D", "E", "F", "G"]
 
 def admissible_params(entry: CatalogEntry, bound: int = 40):
     """Yield admissible parameter dicts in lexicographic order."""
-    names = list(entry.variables())
-    if not names:
+    names = entry.variables()
+    domains = [_SERIES_ORDER if name == "s" else range(1, bound + 1) for name in names]
+    for combo in itertools.product(*domains):
+        params = dict(zip(names, combo))
         try:
-            entry.check_constraints({})
-            _ = tuple(tp.resolve({}) for tp in entry.g_pattern)
-            yield {}
+            entry.check_constraints(params)
+            for tp in entry.g_pattern:
+                tp.resolve(params)
+            if any(ip.arg is not None and exprs.evaluate_int(ip.arg, params) < 0
+                   for ip in entry.h_pattern):
+                continue
         except (ConstraintError, TableFormatError):
-            pass
-        return
-
-    def domain(name: str):
-        if name == "s":
-            return _SERIES_ORDER
-        return range(1, bound + 1)
-
-    def rec(i: int, params: dict):
-        if i == len(names):
-            try:
-                entry.check_constraints(params)
-                for tp in entry.g_pattern:
-                    tp.resolve(params)
-                for ip in entry.h_pattern:
-                    if ip.arg is not None and exprs.evaluate_int(ip.arg, params) < 0:
-                        return
-                yield dict(params)
-            except (ConstraintError, TableFormatError):
-                pass
-            return
-        for value in domain(names[i]):
-            params[names[i]] = value
-            yield from rec(i + 1, params)
-        del params[names[i]]
-
-    yield from rec(0, {})
+            continue
+        yield params
 
 
 def minimal_params(entry: CatalogEntry) -> dict:

@@ -33,6 +33,11 @@ SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
 # has 32512 roots and built in 0.8 s CPU with a 67 MB peak (Python 3.11,
 # one core of an Intel Xeon).
 RANK_CEILING = 128
+# Largest weight ambient of a pair (rank of g plus the dimension of its
+# center), since a pair may have many factors: at the ceiling,
+# `sl(128)+sl(128)+sl(128)+sl(128)+center(4)/sl(100) in 1` computes in
+# 1.7 s CPU with a 50 MB peak (same machine).
+AMBIENT_CEILING = 4 * RANK_CEILING
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from cartanspaces.catalog import (
 from cartanspaces.cli import survey_pairs
 from cartanspaces.errors import ConstraintError, TableFormatError
 from cartanspaces.exprs import check_relation, evaluate, variables
-from cartanspaces.rootsystems import SimpleType, sl, so, sp
+from cartanspaces.rootsystems import AMBIENT_CEILING, RANK_CEILING, SimpleType, sl, so, sp
 
 
 def test_lookup_examples():
@@ -269,6 +269,15 @@ def test_item_sizes_are_checked():
         assert str(err.value) == message
     for base, size in [("sp", 2), ("so", 3), ("sl", 2), ("spin", 7), ("g2", None)]:
         HItem(base, size, (0,))
+
+
+def test_weight_ambient_is_bounded():
+    # rank of g plus the center; no root system is built to check it
+    assert ReductivePair((sl(RANK_CEILING + 1),) * 3, AMBIENT_CEILING - 3 * RANK_CEILING)
+    for factors, center in [((), AMBIENT_CEILING + 1), ((sl(RANK_CEILING + 1),) * 5, 0)]:
+        with pytest.raises(ConstraintError) as err:
+            ReductivePair(factors, center)
+        assert str(err.value).endswith(f"is above {AMBIENT_CEILING}")
 
 
 def test_t48_ideal_conditions_match_semisimple_table():

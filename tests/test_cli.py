@@ -15,7 +15,7 @@ from cartanspaces.cli import (
     survey_pairs,
 )
 from cartanspaces.errors import PairSyntaxError
-from cartanspaces.rootsystems import RANK_CEILING, SimpleType, sl, so, sp
+from cartanspaces.rootsystems import AMBIENT_CEILING, RANK_CEILING, SimpleType, sl, so, sp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -111,6 +111,9 @@ def test_malformed_input_exits_1_with_offset(capsys):
         "sl(4)/sl(1)": "sl(1) is not simple",
         "so(7)/so(0)": "so(0) is not available",
         "so(9)/spin(9)": "only spin(7)",
+        # a weight ambient above the ceiling, through the center or many factors
+        "sl(5)+center(100000000)/sl(3)": f"is above {AMBIENT_CEILING}",
+        "+".join(["sl(128)"] * 40) + "/sl(100) in 1": f"is above {AMBIENT_CEILING}",
     }
     for text, named in cases.items():
         assert cmd_compute(text) == 1, text
@@ -118,6 +121,8 @@ def test_malformed_input_exits_1_with_offset(capsys):
         assert err.startswith("parse error: ") and named in err, err
         offset = int(err.split("at offset ")[1].split(":")[0])
         assert 0 <= offset <= len(text)
+        if "ambient" in named:
+            assert offset < text.index("/")
         assert "is not defined" not in err
 
 
@@ -222,12 +227,26 @@ def test_survey_command(capsys):
     assert "sp(6)/sl(2)+sl(2)+sl(2)" in out
     assert cmd_survey(2, "spherical") == 0
     capsys.readouterr()
+    # a filter that is not a number or a name is an input error
+    for filt in ("complexity=x", "complexity=", "flat"):
+        assert cmd_survey(3, filt) == 1
+        assert capsys.readouterr().err == f"unknown filter {filt!r}\n"
+    # a negative rank bound lists nothing
+    assert cmd_survey(-3, "") == 0
+    assert capsys.readouterr().out == "0 pairs listed\n"
 
 
 def test_main_dispatch(capsys):
     assert main(["compute", "sl(6)/sp(6)"]) == 0
     assert main(["verify", "T3.4"]) == 0
     assert main(["survey", "--max-rank", "2", "--filter", "spherical"]) == 0
+    capsys.readouterr()
+    # usage errors exit 1 like every other input error; exit 2 means a refusal
+    for argv in (["survey", "--max-rank", "x"], ["compute"], [],
+                 ["survey", "--max-rank", "3", "--filter", "complexity=x"]):
+        assert main(argv) == 1, argv
+    assert main(["survey", "--max-rank", "-3"]) == 0
+    assert main(["--help"]) == 0
     capsys.readouterr()
 
 

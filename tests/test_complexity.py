@@ -8,7 +8,7 @@ coordinates against every basis weight, with exact Fraction dot products.
 import itertools
 import time
 
-from cartanspaces.cli import parse_pair, survey_pairs
+from cartanspaces.cli import survey_pairs
 from cartanspaces.engine import (
     Twist,
     cartan_space,
@@ -16,6 +16,7 @@ from cartanspaces.engine import (
     levi_centralizer_dim,
     twist,
 )
+from cartanspaces.pairs import parse_pair
 from cartanspaces.ratlinalg import dot
 from cartanspaces.rootsystems import build_root_system, diagram_automorphisms
 
