@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -517,6 +518,7 @@ class Catalog:
 
 
 _CATALOG: Catalog | None = None
+_CATALOG_LOCK = threading.Lock()
 
 
 def default_data_dir() -> Path:
@@ -527,10 +529,13 @@ def default_data_dir() -> Path:
 
 
 def get_catalog() -> Catalog:
+    """The catalog of the current data directory; threads that ask at once
+    for a new one wait for a single load."""
     global _CATALOG
-    if _CATALOG is None or _CATALOG.data_dir != default_data_dir():
-        _CATALOG = Catalog(default_data_dir())
-    return _CATALOG
+    with _CATALOG_LOCK:
+        if _CATALOG is None or _CATALOG.data_dir != default_data_dir():
+            _CATALOG = Catalog(default_data_dir())
+        return _CATALOG
 
 
 def lookup(table: str, row) -> CatalogEntry:

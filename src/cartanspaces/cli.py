@@ -12,6 +12,7 @@ Pair expressions follow the grammar in `cartanspaces.pairs`.  Exit codes:
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 from . import catalog as cat
@@ -20,7 +21,7 @@ from .catalog import ReductivePair, get_catalog, instantiate, verify_entry
 from .errors import CartanError, ConstraintError, OutsideCatalogError, PairSyntaxError
 from .pairs import format_pair, parse_pair
 from .ratlinalg import span
-from .rootsystems import vo_to_bourbaki
+from .rootsystems import SERIES_MIN_RANK, vo_to_bourbaki
 
 # ---------------------------------------------------------------------------
 # printing
@@ -121,8 +122,7 @@ def _verify_table(table: str, out) -> list[cat.Check]:
         if table == "T3.2":
             series = entry.g_pattern[0].base
             if series in ("A", "B", "C", "D"):
-                lo = {"A": 1, "B": 2, "C": 2, "D": 3}[series]
-                ranks = range(lo, 13)
+                ranks = range(SERIES_MIN_RANK[series], 13)
             else:
                 ranks = [None]
             for l in ranks:
@@ -261,11 +261,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # a usage error is an input error; --help exits 0
         return 1 if exc.code else 0
-    if args.command == "compute":
-        return cmd_compute(args.expr, args.json, args.bourbaki)
-    if args.command == "verify":
-        return cmd_verify(args.table)
-    return cmd_survey(args.max_rank, args.filt)
+    try:
+        if args.command == "compute":
+            code = cmd_compute(args.expr, args.json, args.bourbaki)
+        elif args.command == "verify":
+            code = cmd_verify(args.table)
+        else:
+            code = cmd_survey(args.max_rank, args.filt)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # final flush at exit fails no more, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -6,6 +6,11 @@ table row, a central-extension family, or a trivially known case), and the
 space is assembled from the stored data.  Anything else is rejected with a
 precise reason; nothing is extrapolated.
 
+Pipeline: the pair splits into its indecomposable summands; each summand
+becomes a standalone pair (`decompose`) whose space is computed in that
+pair's own coordinates; one column map (`_moved`) places it in the whole
+pair's ambient, where the space is the block sum of the summands' spaces.
+
 Coordinates: a pair with factors g_1,...,g_f and a c-dimensional central
 torus uses ambient Q^(rk g_1 + ... + rk g_f + c).  The first blocks are
 fundamental-weight coordinates of the factors (VO numbering), the trailing
@@ -26,7 +31,6 @@ from .catalog import (
     CatalogEntry,
     HItem,
     ReductivePair,
-    RowInstance,
     family_row_for_factor,
     instantiate,
     match_t14,
@@ -42,6 +46,7 @@ from .ratlinalg import (
     RationalSubspace,
     Vector,
     annihilator_preimage,
+    combine,
     kernel_basis,
     rref,
     span,
@@ -104,41 +109,35 @@ def _summands(pair: ReductivePair) -> list[_Summand]:
             union(item.targets[0], t)
 
     rows: tuple[Vector, ...] = pair.center.basis if pair.center else ()
-    slots = pair.family_slots() if rows else ()
-    row_nodes: list[list[int]] = []
+    # the node of each central coordinate: the torus, then each slot's factor
+    col_nodes = [znode] * pair.center_dim + list(pair.family_slots() if rows else ())
+    row_nodes = []
     for row in rows:
-        nodes = []
-        for j, x in enumerate(row):
-            if x == 0:
-                continue
-            if j < pair.center_dim:
-                nodes.append(znode)
-            else:
-                nodes.append(slots[j - pair.center_dim])
-        row_nodes.append(sorted(set(nodes)))
+        nodes = [col_nodes[j] for j, x in enumerate(row) if x]
         for a in nodes[1:]:
             union(nodes[0], a)
+        row_nodes.append(nodes[0])
 
-    groups: dict[int, dict] = {}
+    # one group per root, in order of the first factor (the bare torus last)
+    root = [find(x) for x in range(nf + 1)]
+    groups = {r: ([], [], []) for r in root[:nf + (pair.center_dim > 0)]}
     for f in range(nf):
-        groups.setdefault(find(f), {"factors": [], "items": [], "z0": False, "rows": []})["factors"].append(f)
-    if pair.center_dim > 0:
-        groups.setdefault(find(znode), {"factors": [], "items": [], "z0": False, "rows": []})["z0"] = True
+        groups[root[f]][0].append(f)
     for i, item in enumerate(pair.items):
-        groups[find(item.targets[0])]["items"].append(i)
-    for row, nodes in zip(rows, row_nodes):
-        groups[find(nodes[0])]["rows"].append(row)
+        groups[root[item.targets[0]]][1].append(i)
+    for row, x in zip(rows, row_nodes):
+        groups[root[x]][2].append(row)
+    return [_Summand(tuple(fs), tuple(its), r == root[znode], tuple(rs))
+            for r, (fs, its, rs) in groups.items()]
 
-    out = []
-    for _, grp in sorted(groups.items(),
-                         key=lambda kv: (min(kv[1]["factors"]) if kv[1]["factors"] else nf,)):
-        out.append(_Summand(
-            tuple(sorted(grp["factors"])),
-            tuple(sorted(grp["items"])),
-            grp["z0"],
-            tuple(grp["rows"]),
-        ))
-    return out
+
+def _central_columns(pair: ReductivePair, sub: ReductivePair, factors: Sequence[int]) -> list[int]:
+    """The pair's central coordinate behind each central coordinate of `sub`:
+    the z(g) block, then the slot of each extendable factor of `sub`, whose
+    factor i is the pair's factor `factors[i]`."""
+    slots = pair.family_slots()
+    return [*range(sub.center_dim),
+            *(pair.center_dim + slots.index(factors[f]) for f in sub.family_slots())]
 
 
 def _summand_pair(pair: ReductivePair, s: _Summand) -> ReductivePair:
@@ -155,13 +154,7 @@ def _summand_pair(pair: ReductivePair, s: _Summand) -> ReductivePair:
                         center_dim, items, None)
     if not s.center_rows:
         return sub
-    old_slots = pair.family_slots()
-    cols: list[int] = []
-    if s.has_center_block:
-        cols.extend(range(pair.center_dim))
-    for new_slot in sub.family_slots():
-        orig_factor = s.factor_indices[new_slot]
-        cols.append(pair.center_dim + old_slots.index(orig_factor))
+    cols = _central_columns(pair, sub, s.factor_indices)
     rows = [tuple(r[c] for c in cols) for r in s.center_rows]
     return ReductivePair(sub.factors, center_dim, items, span(rows, len(cols)))
 
@@ -175,14 +168,6 @@ def decompose(pair: ReductivePair) -> list[ReductivePair]:
 # per-summand computation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _SummandResult:
-    vectors: list[Vector]              # basis vectors in the full ambient
-    essential_item_indices: list[int]
-    essential_rows: list[Vector]
-    trace: list[str]
-
-
 def _factor_offsets(pair: ReductivePair) -> list[int]:
     offs, acc = [], 0
     for t in pair.factors:
@@ -191,26 +176,13 @@ def _factor_offsets(pair: ReductivePair) -> list[int]:
     return offs
 
 
-def _place_block(full_dim: int, offset: int, block: Sequence[Fraction]) -> Vector:
-    v = [Fraction(0)] * full_dim
-    for j, x in enumerate(block):
-        v[offset + j] = Fraction(x)
-    return tuple(v)
-
-
-def _place_row_vectors(pair: ReductivePair, s: _Summand, inst: RowInstance,
-                       factor_map: tuple[int, ...]) -> list[Vector]:
-    """Embed a row instance's generators into the pair's full ambient."""
-    offsets = _factor_offsets(pair)
-    ranks = [t.rank for t in inst.g_types]
-    pat_offsets = [sum(ranks[:i]) for i in range(len(ranks))]
+def _moved(vectors: Sequence[Sequence], cols: Sequence[int], n: int) -> list[Vector]:
+    """Each vector with its coordinate j put into column cols[j] of Q^n."""
     out = []
-    for gen in inst.gens:
-        v = [Fraction(0)] * pair.weight_ambient
-        for p, rk in enumerate(ranks):
-            target = s.factor_indices[factor_map[p]]
-            for j in range(rk):
-                v[offsets[target] + j] = gen[pat_offsets[p] + j]
+    for b in vectors:
+        v = [Fraction(0)] * n
+        for c, x in zip(cols, b):
+            v[c] = x
         out.append(tuple(v))
     return out
 
@@ -267,129 +239,90 @@ def alpha_functional(entry: CatalogEntry, params: dict, scale=1) -> LinearFuncti
     return LinearFunctional(tuple(scale * c for c in coeffs))
 
 
-def _compute_summand(pair: ReductivePair, s: _Summand) -> _SummandResult:
-    offsets = _factor_offsets(pair)
-    full_dim = pair.weight_ambient
-    items = [pair.items[i] for i in s.item_indices]
+def _summand_space(sub: ReductivePair,
+                   names: Sequence[str]) -> tuple[list[Vector], bool, list[str]]:
+    """The space of an indecomposable pair, in the pair's own coordinates.
+
+    Returns spanning vectors, whether the items belong to the essential part
+    (the central rows always do) and the trace.  `names` are the items as
+    written in the whole pair, for the refusal texts.
+    """
+    n = sub.weight_ambient
+    offsets = _factor_offsets(sub)
+
+    def on(f: int, vectors) -> list[Vector]:
+        return _moved(vectors, range(offsets[f], offsets[f] + sub.factors[f].rank), n)
 
     # central-torus-only summand
-    if not s.factor_indices:
-        zoff = pair.rank_g
-        rows = [r[: pair.center_dim] for r in s.center_rows]
-        vectors = [_place_block(full_dim, zoff, t)
-                   for t in _annihilator_in_block(rows, pair.center_dim)]
-        return _SummandResult(vectors, [], list(s.center_rows), ["central-torus block"])
+    if not sub.factors:
+        rows = list(sub.center.basis) if sub.center else []
+        return kernel_basis(rows, n), True, ["central-torus block"]
 
-    if not s.center_rows:
-        if not items:
-            vectors = []
-            for f in s.factor_indices:
-                for j in range(pair.factors[f].rank):
-                    vectors.append(_place_block(full_dim, offsets[f] + j, [Fraction(1)]))
-            names = "+".join(str(pair.factors[f]) for f in s.factor_indices)
-            return _SummandResult(vectors, [], [],
-                                  [f"trivial subalgebra in {names}: full block"])
-        g_types = [pair.factors[f] for f in s.factor_indices]
-        local = {f: i for i, f in enumerate(s.factor_indices)}
-        items_local = [
-            HItem(it.base, it.size, tuple(local[t] for t in it.targets), it.diag_type)
-            for it in items
-        ]
+    if sub.center is None:
+        if not sub.items:
+            return kernel_basis([], n), True, [
+                "trivial subalgebra in " + "+".join(map(str, sub.factors)) + ": full block"]
         near_miss = None
         try:
-            matched = match_t14(g_types, items_local)
+            matched = match_t14(list(sub.factors), list(sub.items))
         except ConstraintError as exc:
             matched = None
             near_miss = str(exc)
         if matched is not None:
             entry, params, factor_map = matched
             inst = instantiate(entry, params)
-            vectors = _place_row_vectors(pair, s, inst, factor_map)
-            return _SummandResult(vectors, list(s.item_indices), [],
-                                  [f"{entry.row_id}{_params_str(params)}"])
+            cols = [offsets[factor_map[p]] + j
+                    for p, t in enumerate(inst.g_types) for j in range(t.rank)]
+            return _moved(inst.gens, cols, n), True, [f"{entry.row_id}{_params_str(params)}"]
         # fallback: bare member of a central-extension family (the space is
         # the full weight block; the essential part collapses to zero)
-        if all(len(it.targets) == 1 for it in items):
-            fams = [(f, family_row_for_factor(pair.factors[f],
-                                              [it for it in items if it.targets == (f,)]))
-                    for f in s.factor_indices]
-            if all(inst is not None for _, inst in fams):
+        if all(len(it.targets) == 1 for it in sub.items):
+            fams = [family_row_for_factor(t, sub.items_on_factor(f))
+                    for f, t in enumerate(sub.factors)]
+            if all(inst is not None for inst in fams):
                 vectors, trace = [], []
-                for f, inst in fams:
+                for f, inst in enumerate(fams):
                     full_sp: RationalSubspace = inst.aux["full"]
-                    if full_sp.dim != pair.factors[f].rank:
+                    if full_sp.dim != sub.factors[f].rank:
                         raise InternalConsistencyError(
                             f"bare family member {inst.entry.row_id} does not span its block")
-                    for b in full_sp.basis:
-                        vectors.append(_place_block(full_dim, offsets[f], b))
+                    vectors += on(f, full_sp.basis)
                     trace.append(f"{inst.entry.row_id}{_params_str(inst.params)} bare: "
                                  "full block, essential part collapses")
-                return _SummandResult(vectors, [], [], trace)
+                return vectors, False, trace
         detail = near_miss or "no classification row matches"
         raise OutsideCatalogError(
-            "summand ("
-            + "+".join(str(pair.factors[f]) for f in s.factor_indices)
-            + " / " + (" + ".join(it.describe() for it in items) or "0")
+            "summand (" + "+".join(map(str, sub.factors))
+            + " / " + (" + ".join(names) or "0")
             + f") is outside the encoded tables: {detail}")
 
-    # non-semisimple summand: every factor's items form one extension family
-    for i in s.item_indices:
-        it = pair.items[i]
+    # non-semisimple summand: every factor's items form one extension family,
+    # so every factor owns a slot and the slots run in factor order
+    for it, name in zip(sub.items, names):
         if len(it.targets) != 1:
             raise OutsideCatalogError(
                 f"central part attached to a summand with the cross-factor item "
-                f"{it.describe()}; no table covers this")
-    slots = pair.family_slots()
-    space_vectors: list[Vector] = []
-    sat_vectors: list[Vector] = []
-    alpha_by_col: dict[int, Vector] = {}  # z-coordinate -> ambient covector
+                f"{name}; no table covers this")
+    z0 = _moved(kernel_basis([], sub.center_dim), range(sub.rank_g, n), n)
+    space_vectors, sat_vectors, covectors = list(z0), [], list(z0)
     trace: list[str] = []
-    for f in s.factor_indices:
-        local = [pair.items[i] for i in s.item_indices if pair.items[i].targets == (f,)]
-        inst = family_row_for_factor(pair.factors[f], local)
+    for f, t in enumerate(sub.factors):
+        inst = family_row_for_factor(t, sub.items_on_factor(f))
         if inst is None:
+            local = [name for it, name in zip(sub.items, names) if it.targets == (f,)]
             raise OutsideCatalogError(
-                "the ideals on factor " + str(pair.factors[f]) + " ("
-                + (" + ".join(it.describe() for it in local) or "none")
+                f"the ideals on factor {t} (" + (" + ".join(local) or "none")
                 + ") admit no central extension in the encoded families")
-        rank = pair.factors[f].rank
         full_sp: RationalSubspace = inst.aux["full"]
         sat_sp: RationalSubspace = inst.aux["sat"]
-        for b in full_sp.basis:
-            space_vectors.append(_place_block(full_dim, offsets[f], b))
-        for b in sat_sp.basis:
-            sat_vectors.append(_place_block(full_dim, offsets[f], b))
-        coeffs = _solve_alpha(full_sp, sat_sp, inst.aux["lam"], inst.aux["alpha_value"], rank)
-        col = pair.center_dim + slots.index(f)
-        alpha_by_col[col] = _place_block(full_dim, offsets[f], coeffs)
+        space_vectors += on(f, full_sp.basis)
+        sat_vectors += on(f, sat_sp.basis)
+        coeffs = _solve_alpha(full_sp, sat_sp, inst.aux["lam"], inst.aux["alpha_value"], t.rank)
+        covectors += on(f, [coeffs])
         trace.append(f"{inst.entry.row_id}{_params_str(inst.params)} with central part")
-    zoff = pair.rank_g
-    if s.has_center_block:
-        for j in range(pair.center_dim):
-            space_vectors.append(_place_block(full_dim, zoff + j, [Fraction(1)]))
-    functionals = []
-    for row in s.center_rows:
-        cov = [Fraction(0)] * full_dim
-        for j, x in enumerate(row):
-            if x == 0:
-                continue
-            if j < pair.center_dim:
-                cov[zoff + j] += x
-            else:
-                cov = [a + x * b for a, b in zip(cov, alpha_by_col[j])]
-        functionals.append(LinearFunctional(tuple(cov)))
-    space = span(space_vectors, full_dim)
-    sat = span(sat_vectors, full_dim)
-    result = annihilator_preimage(space, sat, functionals)
-    return _SummandResult(list(result.basis), list(s.item_indices),
-                          list(s.center_rows), trace)
-
-
-def _annihilator_in_block(rows: list, dim: int) -> list[Vector]:
-    """Basis of the annihilator of the span of `rows` inside Q^dim."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
-    return kernel_basis([list(map(Fraction, r)) for r in rows], dim)
+    functionals = [LinearFunctional(combine(row, covectors, n)) for row in sub.center.basis]
+    result = annihilator_preimage(span(space_vectors, n), span(sat_vectors, n), functionals)
+    return list(result.basis), True, trace
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +331,22 @@ def _annihilator_in_block(rows: list, dim: int) -> list[Vector]:
 
 def _assemble(pair: ReductivePair) -> tuple[list[Vector], EssentialPart, list[str]]:
     """Every summand's vectors, the joined essential part and the trace."""
+    offsets = _factor_offsets(pair)
     vectors: list[Vector] = []
     indices: list[int] = []
     rows: list[Vector] = []
     trace: list[str] = []
     for s in _summands(pair):
-        res = _compute_summand(pair, s)
-        vectors.extend(res.vectors)
-        indices.extend(res.essential_item_indices)
-        rows.extend(res.essential_rows)
-        trace.extend(res.trace)
+        sub = _summand_pair(pair, s)
+        space, keeps_items, lines = _summand_space(
+            sub, [pair.items[i].describe() for i in s.item_indices])
+        cols = [offsets[f] + j for f in s.factor_indices for j in range(pair.factors[f].rank)]
+        cols += range(pair.rank_g, pair.rank_g + sub.center_dim)
+        vectors += _moved(space, cols, pair.weight_ambient)
+        if keeps_items:
+            indices += s.item_indices
+        rows += s.center_rows
+        trace += lines
     indices.sort()
     ess = EssentialPart(tuple(indices), tuple(pair.items[i] for i in indices), tuple(rows))
     return vectors, ess, trace
@@ -429,15 +368,12 @@ def essential_part(pair: ReductivePair) -> EssentialPart:
 def essential_pair(pair: ReductivePair, ess: EssentialPart | None = None) -> ReductivePair:
     """The essential part repackaged as a pair on the same ambient algebra."""
     ess = ess if ess is not None else essential_part(pair)
-    old_slots = pair.family_slots()
     items = tuple(pair.items[i] for i in ess.item_indices)
     sub = ReductivePair(pair.factors, pair.center_dim, items, None)
-    cols = list(range(pair.center_dim))
-    for slot_factor in sub.family_slots():
-        cols.append(pair.center_dim + old_slots.index(slot_factor))
-    center = None
-    if ess.center_rows:
-        center = span([tuple(r[c] for c in cols) for r in ess.center_rows], len(cols))
+    if not ess.center_rows:
+        return sub
+    cols = _central_columns(pair, sub, range(len(pair.factors)))
+    center = span([tuple(r[c] for c in cols) for r in ess.center_rows], len(cols))
     return ReductivePair(pair.factors, pair.center_dim, items, center)
 
 
@@ -552,17 +488,10 @@ def twist(pair: ReductivePair, tw: Twist) -> CartanResult:
     _validate_twist(pair, tw)
     base = cartan_space(pair)
     offsets = _factor_offsets(pair)
-    full_dim = pair.weight_ambient
-    moved = []
-    for b in base.space.basis:
-        v = [Fraction(0)] * full_dim
-        for i, t in enumerate(pair.factors):
-            for j in range(t.rank):
-                v[offsets[tw.factor_perm[i]] + tw.node_perms[i][j]] = b[offsets[i] + j]
-        for j in range(pair.center_dim):
-            v[pair.rank_g + j] = b[pair.rank_g + j]
-        moved.append(tuple(v))
-    space = span(moved, full_dim)
+    n = pair.weight_ambient
+    cols = [offsets[p] + node for p, nodes in zip(tw.factor_perm, tw.node_perms) for node in nodes]
+    cols += range(pair.rank_g, n)
+    space = span(_moved(base.space.basis, cols, n), n)
     notes = []
     for row_id, params, note in _OUTER_NOTES:
         for entry in base.trace:

@@ -23,7 +23,8 @@ items of that T1.4 or T1.6 row, on the factors of the row's types in order
 unless `in` lists their positions.  `pi_v(I)` is the distinguished central
 generator of a family item (the index must match the item's stored
 generator; `@F` names the factor when several extend centrally); `z0(J)`
-is the J-th central coordinate of the ambient algebra.
+is the J-th central coordinate of the ambient algebra.  A pair has at most
+one central part, and it is not zero.
 
 Every input error is a `PairSyntaxError` carrying the offset of the piece
 at fault.  Besides the rank ceiling of each factor, the weight ambient
@@ -121,15 +122,20 @@ class _Parser:
             body = token[2:].lstrip()
             if not (body.startswith("[") and body.endswith("]")):
                 self.err(at, "central part must be z=[...]")
+            if zrows is not None:
+                self.err(at, "second central part z=[...]")
             end = at + len(token) - 1
-            zrows = (end - len(body) + 2, end)
+            zrows = (at, end - len(body) + 2, end)
         try:
             pair = ReductivePair(tuple(self.factors), center_dim, tuple(items))
         except ConstraintError as exc:
             self.err(0, str(exc))
         if zrows is None:
             return pair
-        return ReductivePair(pair.factors, center_dim, pair.items, self.center(pair, *zrows))
+        center = self.center(pair, *zrows[1:])
+        if center.dim == 0:
+            self.err(zrows[0], "zero central part z=[...]; leave it out")
+        return ReductivePair(pair.factors, center_dim, pair.items, center)
 
     def factor(self, token: str, at: int) -> SimpleType:
         token = token.strip()

@@ -26,15 +26,6 @@ def zero_vec(n: int) -> Vector:
     return (Fraction(0),) * n
 
 
-def add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
 def dot(u: Vector, v: Vector):
     """Exact inner product; stays in int when both vectors are integral."""
     if len(u) != len(v):
@@ -123,21 +114,11 @@ def intersect(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionError("ambient dimensions differ")
     n = a.ambient_dim
-    ka, kb = a.dim, b.dim
-    if ka == 0 or kb == 0:
+    if a.dim == 0 or b.dim == 0:
         return zero_space(n)
     # Unknowns (x, y) with sum x_i a_i = sum y_j b_j; one equation per coordinate.
-    rows = []
-    for c in range(n):
-        rows.append([a.basis[i][c] for i in range(ka)] + [-b.basis[j][c] for j in range(kb)])
-    vectors = []
-    for sol in kernel_basis(rows, ka + kb):
-        v = zero_vec(n)
-        for i in range(ka):
-            if sol[i]:
-                v = add(v, scale(sol[i], a.basis[i]))
-        vectors.append(v)
-    return span(vectors, n)
+    rows = [[u[c] for u in a.basis] + [-u[c] for u in b.basis] for c in range(n)]
+    return _kernel_span(rows, a.basis, n)
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[Vector]:
@@ -152,6 +133,25 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[Vector]
             x[pc] = -m[r][fc]
         basis.append(tuple(x))
     return basis
+
+
+def combine(coeffs: Sequence, vectors: Sequence[Vector], n: int) -> Vector:
+    """sum_i coeffs[i] * vectors[i] in Q^n; extra coefficients are ignored."""
+    v = [Fraction(0)] * n
+    for c, u in zip(coeffs, vectors):
+        if c:
+            v = [x + c * y for x, y in zip(v, u)]
+    return tuple(v)
+
+
+def _kernel_span(rows: Sequence[Sequence[Fraction]], basis: Sequence[Vector],
+                 n: int) -> RationalSubspace:
+    """Span of the combinations of `basis` whose coefficients solve `rows`.
+
+    Each row has one column per unknown; the unknowns past `basis` are
+    solved for but do not enter the combination.
+    """
+    return span([combine(t, basis, n) for t in kernel_basis(rows, len(rows[0]))], n)
 
 
 @dataclass(frozen=True)
@@ -191,17 +191,6 @@ def annihilator_preimage(
         for b in quotient_by.basis:
             if f(b) != 0:
                 raise ContractError("functional does not annihilate the quotient subspace")
-    if not functionals:
+    if not functionals or space.dim == 0:
         return space
-    k = space.dim
-    if k == 0:
-        return space
-    rows = [[f(b) for b in space.basis] for f in functionals]
-    vectors = []
-    for t in kernel_basis(rows, k):
-        v = zero_vec(n)
-        for i in range(k):
-            if t[i]:
-                v = add(v, scale(t[i], space.basis[i]))
-        vectors.append(v)
-    return span(vectors, n)
+    return _kernel_span([[f(b) for b in space.basis] for f in functionals], space.basis, n)

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cartanspaces
 from cartanspaces.catalog import HItem
 from cartanspaces.cli import (
     cmd_compute,
@@ -248,6 +252,20 @@ def test_main_dispatch(capsys):
     assert main(["survey", "--max-rank", "-3"]) == 0
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["verify", "all"], ["compute", "sl(6)/sp(6)"]])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the reader of standard output is gone before the command prints
+    src = str(Path(cartanspaces.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from cartanspaces.cli import main; sys.exit(main())",
+         *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err and b"BrokenPipe" not in err, err
 
 
 def test_survey_golden_determinism(capsys):

@@ -296,6 +296,40 @@ def test_additivity_block_concatenation():
     assert span(expected, 8) == rc.space
 
 
+def _direct_sum(p, q):
+    """p + q on the concatenated factors, the central rows block-diagonal
+    over [slots of p, slots of q]."""
+    shift = len(p.factors)
+    items = p.items + tuple(HItem(it.base, it.size, tuple(t + shift for t in it.targets),
+                                  it.diag_type) for it in q.items)
+    zp, zq = len(p.family_slots()), len(q.family_slots())
+    rows = [tuple(r) + (Q(0),) * zq for r in (p.center.basis if p.center else ())]
+    rows += [(Q(0),) * zp + tuple(r) for r in (q.center.basis if q.center else ())]
+    center = span(rows, zp + zq) if rows else None
+    return ReductivePair(p.factors + q.factors, 0, items, center)
+
+
+def test_direct_sums_add_up():
+    import random
+
+    from cartanspaces.cli import survey_pairs
+
+    survey = [(pair, res) for _, pair, res in survey_pairs(4)]
+    rng = random.Random(11)
+    for _ in range(300):
+        (p, rp), (q, rq) = rng.choice(survey), rng.choice(survey)
+        res = cartan_space(_direct_sum(p, q))
+        n, m = p.weight_ambient, q.weight_ambient
+        blocks = [tuple(b) + (Q(0),) * m for b in rp.space.basis]
+        blocks += [(Q(0),) * n + tuple(b) for b in rq.space.basis]
+        assert res.space == span(blocks, n + m)
+        assert res.rank == rp.rank + rq.rank
+        assert res.complexity == rp.complexity + rq.complexity
+        assert res.essential.item_indices == rp.essential.item_indices + tuple(
+            i + len(p.items) for i in rq.essential.item_indices)
+        assert res.trace == rp.trace + rq.trace
+
+
 def test_rank_additivity_under_saturation():
     # adding the full central part always cuts the rank by its dimension
     cases = [
@@ -380,6 +414,7 @@ def test_center_only_summand():
 def test_parallel_batch_evaluation():
     # immutable inputs and a read-only catalog: concurrent evaluation must
     # agree with the sequential results
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
     pairs = [
@@ -394,6 +429,24 @@ def test_parallel_batch_evaluation():
         parallel = list(pool.map(cartan_space, pairs))
     for a, b in zip(sequential, parallel):
         assert a.space == b.space and a.complexity == b.complexity
+    # a concurrent first load of the catalog builds it once
+    from cartanspaces import catalog
+
+    loaded = catalog.get_catalog()
+    barrier = threading.Barrier(8)
+
+    def first_load(_):
+        barrier.wait()
+        return catalog.get_catalog()
+
+    try:
+        for _ in range(5):
+            catalog._CATALOG = None
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                catalogs = list(pool.map(first_load, range(8)))
+            assert len({id(c) for c in catalogs}) == 1
+    finally:
+        catalog._CATALOG = loaded
 
 
 def test_complexity_structural_bounds():
@@ -423,3 +476,10 @@ def test_outside_catalog_diagnostics():
                       (HItem("diag", None, (0, 1), t), HItem("diag", None, (1, 2), t)))
     with pytest.raises(OutsideCatalogError):
         cartan_space(p)
+    # a summand's refusal names its items as written in the whole pair
+    p = pair_of(sl(6), sp(4), items=[HItem("sl", 5, (0,)), HItem("sl", 2, (1,))])
+    with pytest.raises(OutsideCatalogError) as err:
+        cartan_space(p)
+    assert str(err.value) == (
+        "summand (C2 / sl(2)@2) is outside the encoded tables: "
+        "T1.4:4 requires '2*k>=n+1', violated at {'k': 1, 'n': 2}")
