@@ -4,7 +4,9 @@ Tables live in plain-text files under ``tables/`` (override the directory
 with the ``CARTAN_DATA_DIR`` environment variable).  Each nonempty,
 non-comment line is one record of ``key=value`` fields; values with spaces
 are double-quoted.  The field grammars are documented in the data files and
-in the README.  Entries are parsed once, frozen, and shared.
+in the README.  ``_FIELDS`` names the one parser of each field and
+``_ROW_FIELDS`` the fields of each table's rows; the load runs both, so
+entries hold parsed values, frozen and shared.
 
 This module also defines the input model for computations: a
 :class:`ReductivePair` is a reductive algebra (simple factors plus a central
@@ -25,21 +27,26 @@ from pathlib import Path
 from typing import Sequence
 
 from . import exprs
-from .errors import ConstraintError, DimensionError, TableFormatError
+from .errors import CartanError, ConstraintError, DimensionError, TableFormatError
 from .ratlinalg import (
     LinearFunctional,
     RationalSubspace,
     Vector,
+    annihilator_preimage,
+    member,
     span,
+    zero_space,
 )
 from .rootsystems import (
     AMBIENT_CEILING,
     SimpleType,
     build_root_system,
     dual_weight_permutation,
+    k_value,
     sl,
     so,
     sp,
+    weyl_dim,
 )
 
 TABLE_FILES = {
@@ -90,6 +97,8 @@ def _parse_record(line: str) -> dict[str, str]:
         if not m:
             raise TableFormatError(f"malformed field at column {pos + 1}")
         key = m.group(1)
+        if key in fields:
+            raise TableFormatError(f"field {key!r} given twice")
         fields[key] = m.group(3) if m.group(3) is not None else m.group(2)
         pos = m.end()
     return fields
@@ -113,8 +122,6 @@ class TypePattern:
         if self.base in EXCEPTIONAL_TOKENS:
             s, r = EXCEPTIONAL_TOKENS[self.base]
             return SimpleType(s, r)
-        if self.arg is None:
-            raise TableFormatError(f"type pattern {self.base!r} needs an argument")
         if self.base == "X":
             series = params.get("s")
             if not isinstance(series, str):
@@ -127,16 +134,24 @@ class TypePattern:
             return so(n)
         if self.base == "sp":
             return sp(n)
-        if self.base in ("A", "B", "C", "D"):
-            return SimpleType(self.base, n)
-        raise TableFormatError(f"unknown type pattern base {self.base!r}")
+        return SimpleType(self.base, n)
 
 
-def parse_type_pattern(text: str) -> TypePattern:
+_TYPE_BASES = {"sl", "so", "sp", "A", "B", "C", "D", "X"} | set(EXCEPTIONAL_TOKENS)
+
+
+def parse_type_pattern(text: str, bases=_TYPE_BASES) -> TypePattern:
     m = _TYPE_PAT.match(text.strip())
     if not m:
         raise TableFormatError(f"bad type pattern {text!r}")
-    return TypePattern(m.group(1), m.group(2))
+    base, arg = m.groups()
+    if base not in bases:
+        raise TableFormatError(f"unknown type pattern base {base!r}")
+    if (arg is None) != (base in EXCEPTIONAL_TOKENS):  # only the exceptional types take none
+        raise TableFormatError(f"bad argument in type pattern {text.strip()!r}")
+    if arg is not None:
+        exprs.syntax_check(arg)
+    return TypePattern(base, arg)
 
 
 def parse_g_pattern(text: str) -> tuple[TypePattern, ...]:
@@ -164,6 +179,8 @@ def parse_h_pattern(text: str) -> tuple[ItemPattern, ...]:
         m = _TYPE_PAT.match(part)
         if not m or m.group(1) not in ITEM_BASES:
             raise TableFormatError(f"bad subalgebra item {part!r}")
+        if m.group(2) is not None:
+            exprs.syntax_check(m.group(2))
         items.append(ItemPattern(m.group(1), m.group(2), targets))
     return tuple(items)
 
@@ -254,7 +271,6 @@ def _parse_wsum(text: str) -> tuple[tuple[bool, int, str], ...]:
     return tuple(terms)
 
 
-@lru_cache(maxsize=1024)
 def parse_weight_groups(text: str) -> tuple[WeightGroup, ...]:
     return tuple(WeightGroup(tuple(_parse_wsum(s) for s in part.split(",")), rng)
                  for part, rng in _ranged_parts(text))
@@ -297,7 +313,6 @@ def instantiate_weight_groups(
 _CUT_TERM = re.compile(r"c\(([^()]*)\)\s*=\s*(.+)$")
 
 
-@lru_cache(maxsize=1024)
 def _parse_cut(text: str) -> tuple[tuple[str, str, tuple[str, str, str] | None], ...]:
     """Cut terms as (index expr, coefficient expr, range or None)."""
     terms = []
@@ -311,16 +326,115 @@ def _parse_cut(text: str) -> tuple[tuple[str, str, tuple[str, str, str] | None],
     return tuple(terms)
 
 
-def instantiate_cut(text: str, params: dict, rank: int) -> Vector:
+def instantiate_cut(terms, params: dict, rank: int) -> Vector:
     """Functional coefficients on a single factor's weight coordinates."""
     coeffs = [Fraction(0)] * rank
-    for idx_expr, coeff_expr, rng in _parse_cut(text):
+    for idx_expr, coeff_expr, rng in terms:
         for env in _range_envs(rng, params):
             idx = exprs.evaluate_int(idx_expr, env)
             if not (1 <= idx <= rank):
                 raise ConstraintError(f"cut index {idx} out of range")
             coeffs[idx - 1] += exprs.evaluate(coeff_expr, env)
     return tuple(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# other fields: relations, expressions, numbers and normalizer rows (T4.8)
+# ---------------------------------------------------------------------------
+
+def _relations(text: str, sep: str = ";") -> tuple[str, ...]:
+    found = tuple(c.strip() for c in text.split(sep) if c.strip())
+    for c in found:
+        exprs.syntax_check_relation(c)
+    return found
+
+
+def _expression(text: str) -> str:
+    """Kept as text: `exprs` caches the compiled closure by it."""
+    exprs.syntax_check(text)
+    return text
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit():
+        raise TableFormatError(f"idx must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise TableFormatError(f"exhaustive must be true or false, got {text!r}")
+    return text == "true"
+
+
+_NORM_BASES = {"sl", "so", "sp"} | set(EXCEPTIONAL_TOKENS)
+
+
+def _parse_norm(text: str) -> tuple[TypePattern, ...]:
+    """Normalizer factors; 'Z' is a one-dimensional torus."""
+    return tuple(TypePattern("Z", None) if part.strip() == "Z"
+                 else parse_type_pattern(part, _NORM_BASES) for part in split_top(text, "*"))
+
+
+_MOD_SUMMAND = re.compile(r"(?:z\((-?\d+)\)\s*:\s*)?(.*)$")
+_MOD_TERM = re.compile(r"(tau|taus|w2|w2s|rep)\((\d+)(?:,(\d+))?\)$")
+
+
+def _parse_mods(text: str) -> tuple[tuple[int, tuple[tuple[str, int, int | None], ...]], ...]:
+    """Summands as (torus exponent, terms); a term is (kind, factor,
+    highest-weight index of a rep or None)."""
+    out = []
+    for summand in split_top(text, "+"):
+        zexp, body = _MOD_SUMMAND.match(summand.strip()).groups()
+        terms = []
+        for term in split_top(body, "*"):
+            m = _MOD_TERM.match(term.strip())
+            if not m or (m.group(1) == "rep") != (m.group(3) is not None):
+                raise TableFormatError(f"bad module term {term.strip()!r}")
+            terms.append((m.group(1), int(m.group(2)), int(m.group(3)) if m.group(3) else None))
+        out.append((int(zexp or 0), tuple(terms)))
+    return tuple(out)
+
+
+def _parse_ideals(text: str) -> tuple[tuple[tuple[int, ...], tuple[str, ...]], ...]:
+    """Candidate ideal sequences with the relations that condition them."""
+    out = []
+    for part in text.split("|"):
+        if not part.strip():
+            continue
+        seq, _, cond = part.partition(":")
+        if not all(x.strip().isdigit() for x in seq.split(",")):
+            raise TableFormatError(f"bad ideal sequence {seq.strip()!r}")
+        out.append((tuple(int(x) for x in seq.split(",")), _relations(cond, "&")))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the record schema
+# ---------------------------------------------------------------------------
+
+# Each record field and the one function that parses its text.
+_FIELDS = {
+    "table": str, "row": str,
+    "g": parse_g_pattern, "h": parse_h_pattern, "constraint": _relations,
+    "gens": parse_weight_groups, "lam": parse_weight_groups,
+    "full": parse_weight_groups, "sat": parse_weight_groups, "cut": _parse_cut,
+    "zgen": _expression, "alpha": _expression, "kform": _expression,
+    "idx": _positive_int, "module": str,
+    "norm": _parse_norm, "mods": _parse_mods, "ideals": _parse_ideals, "exhaustive": _flag,
+}
+
+# The fields each table's rows must carry ('sat|cut': exactly one of the
+# two), then those they may carry.
+_ROW_FIELDS = {
+    "T1.4": ("g h gens", "constraint"),
+    "T1.6": ("g h zgen lam alpha full sat|cut", "constraint"),
+    "T3.2": ("g kform", ""),
+    "T3.4": ("g h", "constraint"),
+    "T3.6": ("g h idx", "constraint"),
+    "T3.7": ("g h idx module", "constraint"),
+    "T4.8": ("g norm mods ideals", "constraint exhaustive"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -338,22 +452,11 @@ class CatalogEntry:
     h_pattern: tuple[ItemPattern, ...]
     constraints: tuple[str, ...]
     gens: tuple[WeightGroup, ...]
-    aux: dict = field(default_factory=dict, compare=False)
-    raw: tuple[tuple[str, str], ...] = field(default=(), compare=False)
+    aux: dict = field(default_factory=dict, compare=False)  # the row's other fields, parsed
 
     @property
     def row_id(self) -> str:
         return f"{self.table}:{self.row}"
-
-    def record_line(self) -> str:
-        """Serialize back to the data-file record format."""
-        parts = []
-        for key, value in self.raw:
-            if re.fullmatch(r"\S+", value) and '"' not in value:
-                parts.append(f"{key}={value}")
-            else:
-                parts.append(f'{key}="{value}"')
-        return " ".join(parts)
 
     @cached_property
     def affine_args(self) -> dict[str, tuple[tuple[int, int], ...]]:
@@ -387,73 +490,6 @@ class CatalogEntry:
         for c in self.constraints:
             if not exprs.check_relation(c, params):
                 raise ConstraintError(f"{self.row_id}: parameters {params} violate {c!r}")
-
-
-def _split_constraints(text: str) -> tuple[str, ...]:
-    return tuple(c.strip() for c in text.split(";") if c.strip())
-
-
-_KNOWN_TYPE_BASES = {"sl", "so", "sp", "A", "B", "C", "D", "X"} | set(EXCEPTIONAL_TOKENS)
-
-
-def _validate_entry_syntax(entry: CatalogEntry) -> None:
-    """Eager structural validation so data errors surface at load time."""
-    for tp in entry.g_pattern:
-        if tp.base not in _KNOWN_TYPE_BASES:
-            raise TableFormatError(f"unknown type pattern base {tp.base!r}")
-        if tp.arg is not None:
-            exprs.syntax_check(tp.arg)
-    for ip in entry.h_pattern:
-        if ip.arg is not None:
-            exprs.syntax_check(ip.arg)
-    for c in entry.constraints:
-        exprs.syntax_check_relation(c)
-    if entry.table in ("T1.4", "T1.6"):
-        # matching binds each variable from the arguments it occurs alone in
-        missing = set(entry.variables()) - set(entry.affine_args) - {"s"}
-        if missing:
-            raise TableFormatError(f"variable {min(missing)!r} occurs alone in no pattern argument")
-    aux = entry.aux
-    for key in ("zgen", "alpha", "kform"):
-        if key in aux:
-            exprs.syntax_check(aux[key])
-    for key in ("lam", "full", "sat"):
-        if key in aux:
-            parse_weight_groups(aux[key])
-    if "cut" in aux:
-        _parse_cut(aux["cut"])
-    if "idx" in aux and not aux["idx"].isdigit():
-        raise TableFormatError(f"idx must be a positive integer, got {aux['idx']!r}")
-    if "norm" in aux:
-        for part in split_top(aux["norm"], "*"):
-            part = part.strip()
-            if part == "Z":
-                continue
-            m = _TYPE_PAT.match(part)
-            if not m or (m.group(1) not in ("sl", "so", "sp") and m.group(1) not in EXCEPTIONAL_TOKENS):
-                raise TableFormatError(f"bad normalizer factor {part!r}")
-            if m.group(2) is not None:
-                exprs.syntax_check(m.group(2))
-    if "mods" in aux:
-        for summand in split_top(aux["mods"], "+"):
-            summand = summand.strip()
-            m = re.match(r"z\((-?\d+)\)\s*:\s*(.*)$", summand)
-            if m:
-                summand = m.group(2)
-            for term in split_top(summand, "*"):
-                if not _MOD_TERM.match(term.strip()):
-                    raise TableFormatError(f"bad module term {term.strip()!r}")
-    if "ideals" in aux:
-        for part in aux["ideals"].split("|"):
-            part = part.strip()
-            if not part:
-                continue
-            if ":" in part:
-                part, cond = part.split(":", 1)
-                for c in cond.split("&"):
-                    exprs.syntax_check_relation(c)
-            if not all(x.strip().isdigit() for x in part.split(",")):
-                raise TableFormatError(f"bad ideal sequence {part!r}")
 
 
 class Catalog:
@@ -491,20 +527,27 @@ class Catalog:
 
     @staticmethod
     def _build_entry(rec: dict[str, str]) -> CatalogEntry:
-        table = rec["table"]
-        row = rec["row"]
-        g_pattern = parse_g_pattern(rec["g"]) if "g" in rec else ()
-        h_pattern = parse_h_pattern(rec["h"]) if "h" in rec else ()
-        constraints = _split_constraints(rec.get("constraint", ""))
-        gens = parse_weight_groups(rec["gens"]) if "gens" in rec else ()
-        aux: dict = {}
-        for key in ("zgen", "lam", "alpha", "full", "sat", "cut", "kform",
-                    "idx", "module", "norm", "mods", "ideals", "exhaustive"):
-            if key in rec:
-                aux[key] = rec[key]
-        entry = CatalogEntry(table, row, g_pattern, h_pattern, constraints, gens, aux,
-                             tuple(rec.items()))
-        _validate_entry_syntax(entry)
+        table = rec.get("table")
+        if table not in _ROW_FIELDS or "row" not in rec:
+            raise TableFormatError(f"record needs a known table= and a row=, got {table!r}")
+        required, optional = _ROW_FIELDS[table]
+        allowed = {"table", "row", *required.replace("|", " ").split(), *optional.split()}
+        for key in rec:
+            if key not in allowed:
+                raise TableFormatError(f"unknown field {key!r}")
+        for spec in required.split():
+            if "|" not in spec and spec not in rec:
+                raise TableFormatError(f"{table} row needs field {spec!r}")
+            if sum(name in rec for name in spec.split("|")) != 1:
+                raise TableFormatError(f"{table} row needs exactly one of {spec.replace('|', ', ')}")
+        aux = {key: _FIELDS[key](text) for key, text in rec.items()}
+        entry = CatalogEntry(aux.pop("table"), aux.pop("row"), aux.pop("g"), aux.pop("h", ()),
+                             aux.pop("constraint", ()), aux.pop("gens", ()), aux)
+        if table in ("T1.4", "T1.6"):
+            # matching binds each variable from the arguments it occurs alone in
+            missing = set(entry.variables()) - set(entry.affine_args) - {"s"}
+            if missing:
+                raise TableFormatError(f"variable {min(missing)!r} occurs alone in no pattern argument")
         return entry
 
     def lookup(self, table: str, row) -> CatalogEntry:
@@ -632,6 +675,8 @@ class ReductivePair:
                 if not (0 <= t < len(self.factors)):
                     raise ConstraintError(f"item {item.describe()} targets missing factor {t + 1}")
         if self.center is not None:
+            if self.center.dim == 0:
+                raise ConstraintError("zero central part; leave the center out")
             expected = self.center_dim + len(self.family_slots())
             if self.center.ambient_dim != expected:
                 raise DimensionError(
@@ -870,34 +915,33 @@ def instantiate(entry: CatalogEntry, params: dict) -> RowInstance:
     aux: dict = {}
     if entry.table == "T1.6":
         rank = g_types[0].rank
-        full_vecs = instantiate_weight_groups(parse_weight_groups(entry.aux["full"]), params, g_types)
-        sat_vecs = instantiate_weight_groups(parse_weight_groups(entry.aux["sat"]), params, g_types)
-        full_sp = span(full_vecs, rank)
-        sat_sp = span(sat_vecs, rank)
+        full_sp = span(instantiate_weight_groups(entry.aux["full"], params, g_types), rank)
         if "cut" in entry.aux:
-            from .ratlinalg import annihilator_preimage, zero_space
             cut = instantiate_cut(entry.aux["cut"], params, rank)
             sat_sp = annihilator_preimage(full_sp, zero_space(rank), [LinearFunctional(cut)])
             aux["cut"] = cut
-        lam = instantiate_weight_groups(parse_weight_groups(entry.aux["lam"]), params, g_types)[0]
+        else:
+            sat_sp = span(instantiate_weight_groups(entry.aux["sat"], params, g_types), rank)
         aux.update(
             full=full_sp,
             sat=sat_sp,
-            lam=lam,
+            lam=instantiate_weight_groups(entry.aux["lam"], params, g_types)[0],
             alpha_value=exprs.evaluate(entry.aux["alpha"], params),
             zgen=exprs.evaluate_int(entry.aux["zgen"], params),
         )
     if entry.table in ("T3.6", "T3.7"):
-        aux["idx"] = int(entry.aux["idx"])
+        aux["idx"] = entry.aux["idx"]
     if entry.table == "T4.8":
         aux["norm"] = _instantiate_norm(entry.aux["norm"], params)
-        aux["mods"] = _instantiate_mods(entry.aux["mods"], params, aux["norm"])
-        aux["ideals"] = _instantiate_ideals(entry.aux.get("ideals", ""), params)
-        aux["exhaustive"] = entry.aux.get("exhaustive", "true") != "false"
+        aux["mods"] = tuple((_module_dim(terms, aux["norm"][0]), zexp)
+                            for zexp, terms in entry.aux["mods"])
+        aux["ideals"] = tuple((seq, all(exprs.check_relation(c, params) for c in conds))
+                              for seq, conds in entry.aux["ideals"])
+        aux["exhaustive"] = entry.aux.get("exhaustive", True)
     return RowInstance(entry, dict(params), g_types, tuple(items), gens, aux)
 
 
-# --- normalizer patterns and module summands (T4.8) ------------------------
+# --- normalizer factors and module summands (T4.8) -------------------------
 
 @dataclass(frozen=True)
 class NormFactor:
@@ -924,78 +968,29 @@ class NormFactor:
         return build_root_system(SimpleType(s, r))
 
 
-def _instantiate_norm(text: str, params: dict) -> tuple[tuple[NormFactor, ...], int]:
-    simple: list[NormFactor] = []
-    torus = 0
-    for part in split_top(text, "*"):
-        part = part.strip()
-        if part == "Z":
-            torus += 1
-            continue
-        m = _TYPE_PAT.match(part)
-        if not m:
-            raise TableFormatError(f"bad normalizer factor {part!r}")
-        base, arg = m.group(1), m.group(2)
-        if base in EXCEPTIONAL_TOKENS:
-            simple.append(NormFactor(base, None))
+def _instantiate_norm(patterns, params: dict) -> tuple[tuple[NormFactor, ...], int]:
+    """The simple normalizer factors at `params`, and the torus dimension."""
+    simple = tuple(NormFactor(tp.base, None if tp.arg is None
+                              else exprs.evaluate_int(tp.arg, params))
+                   for tp in patterns if tp.base != "Z")
+    return simple, sum(tp.base == "Z" for tp in patterns)
+
+
+def _module_dim(terms, simple: Sequence[NormFactor]) -> int:
+    """Dimension of one module summand: the product over its terms."""
+    dim = 1
+    for kind, factor, hw in terms:
+        f = simple[factor - 1]
+        if kind in ("tau", "taus"):
+            dim *= f.tau_dim
+        elif kind in ("w2", "w2s"):
+            dim *= f.tau_dim * (f.tau_dim - 1) // 2
         else:
-            simple.append(NormFactor(base, exprs.evaluate_int(arg, params)))
-    return tuple(simple), torus
-
-
-_MOD_TERM = re.compile(r"(tau|taus|w2|w2s)\((\d+)\)$|rep\((\d+),(\d+)\)$")
-
-
-def _instantiate_mods(text: str, params: dict, norm) -> tuple[tuple[int, int], ...]:
-    """Summands as (dimension, torus exponent) pairs."""
-    simple, _ = norm
-    out = []
-    for summand in split_top(text, "+"):
-        summand = summand.strip()
-        zexp = 0
-        m = re.match(r"z\((-?\d+)\)\s*:\s*(.*)$", summand)
-        if m:
-            zexp = int(m.group(1))
-            summand = m.group(2)
-        dim = 1
-        for term in split_top(summand, "*"):
-            term = term.strip()
-            m = _MOD_TERM.match(term)
-            if not m:
-                raise TableFormatError(f"bad module term {term!r}")
-            if m.group(1):
-                f = simple[int(m.group(2)) - 1]
-                if m.group(1) in ("tau", "taus"):
-                    dim *= f.tau_dim
-                else:
-                    dim *= f.tau_dim * (f.tau_dim - 1) // 2
-            else:
-                from .rootsystems import weyl_dim
-
-                f = simple[int(m.group(3)) - 1]
-                idx = int(m.group(4))
-                rs = f.root_system()
-                coeffs = [0] * rs.rank
-                coeffs[idx - 1] = 1
-                dim *= weyl_dim(rs, coeffs)
-        out.append((dim, zexp))
-    return tuple(out)
-
-
-def _instantiate_ideals(text: str, params: dict) -> tuple[tuple[tuple[int, ...], bool], ...]:
-    """Candidate ideal sequences with their conditions evaluated."""
-    out = []
-    for part in text.split("|"):
-        part = part.strip()
-        if not part:
-            continue
-        cond_ok = True
-        if ":" in part:
-            part, cond = part.split(":", 1)
-            cond_ok = all(exprs.check_relation(c, params) for c in cond.split("&"))
-        seq = tuple(int(x) for x in part.split(","))
-        out.append((seq, cond_ok))
-    return tuple(out)
+            rs = f.root_system()
+            coeffs = [0] * rs.rank
+            coeffs[hw - 1] = 1
+            dim *= weyl_dim(rs, coeffs)
+    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -1042,6 +1037,15 @@ def shifted_params(entry: CatalogEntry, delta: int = 2) -> dict:
         return base
 
 
+def sample_params(entry: CatalogEntry) -> list[dict]:
+    """The parameters `verify` checks a row at: every rank up to 12 of a
+    T3.2 series, else the minimal ones and the shifted ones when they differ."""
+    if entry.table == "T3.2":
+        return list(admissible_params(entry, bound=12))
+    tried = [minimal_params(entry), shifted_params(entry, 2)]
+    return tried[:1] if tried[1] == tried[0] else tried
+
+
 # ---------------------------------------------------------------------------
 # self-verification
 # ---------------------------------------------------------------------------
@@ -1062,8 +1066,8 @@ def verify_entry(entry: CatalogEntry, params: dict) -> list[Check]:
 
     Failures are reported, not raised.
     """
+    from . import engine
     from .indexes import dynkin_index_of, module_index_complement_types
-    from .rootsystems import k_value
 
     checks: list[Check] = []
     inst = instantiate(entry, params)
@@ -1117,9 +1121,18 @@ def verify_entry(entry: CatalogEntry, params: dict) -> list[Check]:
             f"{entry.row_id} saturated-inside-full-codim-1 at {params}",
             full.contains(sat) and full.dim == sat.dim + 1,
             f"dims {sat.dim} inside {full.dim}"))
-        from .ratlinalg import member
         checks.append(Check(
             f"{entry.row_id} duality-weight-separates at {params}",
             member(full, lam) and not member(sat, lam),
             "weight lies in the full space but not the saturated one"))
+        # the duality functional solves, vanishes on the saturated space and
+        # takes the stored value at the stored weight
+        try:
+            fn = engine.alpha_functional(entry, params)
+            ann = all(fn(b) == 0 for b in sat.basis)
+            ok = ann and fn(lam) == inst.aux["alpha_value"]
+            detail = f"value {fn(lam)} at the stored weight, annihilates saturated: {ann}"
+        except CartanError as exc:
+            ok, detail = False, str(exc)
+        checks.append(Check(f"{entry.row_id} duality-functional contract at {params}", ok, detail))
     return checks

@@ -21,7 +21,7 @@ from .catalog import ReductivePair, get_catalog, instantiate, verify_entry
 from .errors import CartanError, ConstraintError, OutsideCatalogError, PairSyntaxError
 from .pairs import format_pair, parse_pair
 from .ratlinalg import span
-from .rootsystems import SERIES_MIN_RANK, vo_to_bourbaki
+from .rootsystems import vo_to_bourbaki
 
 # ---------------------------------------------------------------------------
 # printing
@@ -106,72 +106,27 @@ def cmd_compute(expr: str, as_json: bool = False, bourbaki: bool = False, out=No
     return 0
 
 
-def _sample_params(entry: cat.CatalogEntry) -> list[dict]:
-    """The row's minimal parameters, and the shifted ones when they differ."""
-    tried = [cat.minimal_params(entry)]
-    bumped = cat.shifted_params(entry, 2)
-    if bumped != tried[0]:
-        tried.append(bumped)
-    return tried
-
-
-def _verify_table(table: str, out) -> list[cat.Check]:
-    checks: list[cat.Check] = []
-    catalog = get_catalog()
-    for entry in catalog.rows(table):
-        if table == "T3.2":
-            series = entry.g_pattern[0].base
-            if series in ("A", "B", "C", "D"):
-                ranks = range(SERIES_MIN_RANK[series], 13)
-            else:
-                ranks = [None]
-            for l in ranks:
-                checks.extend(verify_entry(entry, {} if l is None else {"l": l}))
-            continue
-        for params in _sample_params(entry):
-            checks.extend(verify_entry(entry, params))
-    for c in checks:
-        print(str(c), file=out)
-    return checks
-
-
-def _verify_alpha_contracts(out) -> list[cat.Check]:
-    """Duality functionals: solvable, annihilate the stored saturated spaces."""
-    checks = []
-    catalog = get_catalog()
-    for entry in catalog.rows("T1.6"):
-        for params in _sample_params(entry):
-            inst = instantiate(entry, params)
-            try:
-                fn = engine.alpha_functional(entry, params)
-                ann = all(fn(b) == 0 for b in inst.aux["sat"].basis)
-                val = fn(inst.aux["lam"]) == inst.aux["alpha_value"]
-                ok, detail = ann and val, (
-                    f"value {fn(inst.aux['lam'])} at the stored weight, "
-                    f"annihilates saturated: {ann}")
-            except CartanError as exc:
-                ok, detail = False, str(exc)
-            checks.append(cat.Check(
-                f"T1.6:{entry.row} duality-functional contract at {params}", ok, detail))
-    for c in checks:
-        print(str(c), file=out)
-    return checks
-
-
 def cmd_verify(target: str, out=None) -> int:
     out = out if out is not None else sys.stdout
-    tables = ["T1.4", "T1.6", "T3.2", "T3.4", "T3.6", "T3.7", "T4.8"]
+    tables = list(cat.TABLE_FILES)
     if target != "all":
         if target not in tables:
             print(f"unknown table {target!r}; choose one of {', '.join(tables)} or 'all'",
                   file=sys.stderr)
             return 1
         tables = [target]
+    try:
+        catalog = get_catalog()
+    except CartanError as exc:  # the tables failed to load
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     checks: list[cat.Check] = []
-    for t in tables:
-        checks.extend(_verify_table(t, out))
-        if t == "T1.6":
-            checks.extend(_verify_alpha_contracts(out))
+    for table in tables:
+        for entry in catalog.rows(table):
+            for params in cat.sample_params(entry):
+                for check in verify_entry(entry, params):
+                    print(str(check), file=out)
+                    checks.append(check)
     failed = [c for c in checks if not c.passed]
     print(f"{len(checks)} checks, {len(failed)} failed", file=out)
     return 1 if failed else 0

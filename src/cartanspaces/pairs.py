@@ -288,7 +288,7 @@ def format_pair(pair: ReductivePair) -> str:
             name += " in " + ",".join(str(t + 1) for t in it.targets)
         items.append(name)
     text = pair.describe_g() + "/" + "+".join(items)
-    if pair.center is not None and pair.center.dim > 0:
+    if pair.center is not None:
         names = ([f"z0({j + 1})" for j in range(pair.center_dim)]
                  + [f"pi_v({_zgen(pair, f)})@{f + 1}" for f in pair.family_slots()])
         rows = ("+".join(name if x == 1 else f"{x}*{name}" for name, x in zip(names, row) if x)

@@ -9,7 +9,6 @@ from cartanspaces.catalog import (
     Catalog,
     HItem,
     ReductivePair,
-    _parse_record,
     family_row_for_factor,
     get_catalog,
     instantiate,
@@ -19,9 +18,10 @@ from cartanspaces.catalog import (
     shifted_params,
     verify_entry,
 )
-from cartanspaces.cli import survey_pairs
+from cartanspaces.cli import main, survey_pairs
 from cartanspaces.errors import ConstraintError, TableFormatError
 from cartanspaces.exprs import check_relation, evaluate, variables
+from cartanspaces.ratlinalg import zero_space
 from cartanspaces.rootsystems import AMBIENT_CEILING, RANK_CEILING, SimpleType, sl, so, sp
 
 
@@ -73,15 +73,6 @@ def test_every_row_instantiates_at_minimal_and_bumped():
         instantiate(entry, p2)
 
 
-def test_records_round_trip():
-    catalog = get_catalog()
-    for key, entry in catalog.entries.items():
-        rec = _parse_record(entry.record_line())
-        rebuilt = Catalog._build_entry(rec)
-        assert rebuilt == entry
-        assert rebuilt.aux == entry.aux
-
-
 def test_parse_error_reports_line_number(tmp_path, monkeypatch):
     src = get_catalog().data_dir
     for f in src.iterdir():
@@ -94,14 +85,46 @@ def test_parse_error_reports_line_number(tmp_path, monkeypatch):
     assert "t32.tbl:" in str(err.value)
 
 
-def _copy_tables(tmp_path, old: str = "", new: str = ""):
-    """The tables copied to tmp_path, with `old` replaced once by `new` in t14.tbl."""
+def _copy_tables(tmp_path, old: str = "", new: str = "", name: str = "t14.tbl"):
+    """The tables copied to tmp_path, with `old` replaced once by `new` in
+    the table file `name`."""
     src = get_catalog().data_dir
     for f in src.iterdir():
         (tmp_path / f.name).write_text(f.read_text())
-    t14 = tmp_path / "t14.tbl"
-    assert old in t14.read_text()
-    t14.write_text(t14.read_text().replace(old, new, 1))
+    edited = tmp_path / name
+    assert old in edited.read_text()
+    edited.write_text(edited.read_text().replace(old, new, 1))
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    # a fault in a record fails the load at its file and line, before any row is used
+    ("t14.tbl", 'constraint="n>=2; 2*k>=n+2', 'constriant="n>=2; 2*k>=n+2',
+     "t14.tbl:8: unknown field 'constriant'"),
+    ("t16.tbl", "row=5 ", "", "t16.tbl:12: record needs a known table= and a row="),
+    ("t16.tbl", 'lam="pi(1)"       alpha="4/3"', 'alpha="4/3"',
+     "t16.tbl:12: T1.6 row needs field 'lam'"),
+    ("t48.tbl", "1,2\" exhaustive=false", "1,2\" exhaustive=flase",
+     "t48.tbl:16: exhaustive must be true or false, got 'flase'"),
+    ("t16.tbl", 'cut="c(i)=i', 'sat="pi(1)" cut="c(i)=i',
+     "t16.tbl:8: T1.6 row needs exactly one of sat, cut"),
+    ("t14.tbl", 'gens="pi(3)"', 'gens="pi(3)" idx=1', "t14.tbl:20: unknown field 'idx'"),
+    ("t32.tbl", 'kform="16"', 'kform="16" kform="17"', "t32.tbl:11: field 'kform' given twice"),
+])
+def test_planted_table_faults_fail_the_load(tmp_path, monkeypatch, name, old, new, message):
+    _copy_tables(tmp_path, old, new, name)
+    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    with pytest.raises(TableFormatError) as err:
+        get_catalog()
+    assert str(err.value).startswith(message)
+
+
+def test_misspelt_field_is_not_answered(tmp_path, monkeypatch, capsys):
+    # with the constraint dropped, T1.4:1 would match sl(5)/sl(2) and exit 0
+    _copy_tables(tmp_path, 'constraint="n>=2; 2*k>=n+2', 'constriant="n>=2; 2*k>=n+2')
+    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    for argv in (["compute", "sl(5)/sl(2)"], ["verify", "all"], ["survey", "--max-rank", "4"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: t14.tbl:8: unknown field 'constriant'\n"
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -255,6 +278,13 @@ def test_family_slots_and_pair_dims():
     assert pair.dim_h == 13
     with pytest.raises(ConstraintError):
         ReductivePair((sl(5),), 0, (HItem("sl", 3, (2,)),))
+
+
+def test_zero_central_part_is_refused():
+    # it would print as sl(5)/sl(3), which parses back without a center
+    with pytest.raises(ConstraintError) as err:
+        ReductivePair((sl(5),), 0, (HItem("sl", 3, (0,)),), zero_space(1))
+    assert str(err.value) == "zero central part; leave the center out"
 
 
 def test_item_sizes_are_checked():

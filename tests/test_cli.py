@@ -258,13 +258,14 @@ def test_main_dispatch(capsys):
 def test_closed_stdout_exits_1_without_traceback(argv):
     # the reader of standard output is gone before the command prints
     src = str(Path(cartanspaces.__file__).resolve().parents[1])
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "import sys; from cartanspaces.cli import main; sys.exit(main())",
-         *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    with subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from cartanspaces.cli import main; sys.exit(main())", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src)) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
     assert b"Traceback" not in err and b"BrokenPipe" not in err, err
 
 

@@ -412,7 +412,8 @@ def test_fuzzed_texts_agree_with_the_reference(fuzzed):
             assert 0 <= exc.offset <= len(text), (text, exc)
             new = "refused"
             # the two refusals the reference lacked: a second central part
-            # (it kept the last one) and a zero one (it kept a 0-dim center)
+            # (it kept the last one) and a zero one (it built a 0-dim center,
+            # which the pair model now refuses as well)
             if reference != "refused" and re.match(NEW_REFUSALS, str(exc)):
                 continue
         # anything else, a CartanError included, escapes: the CLI catches
@@ -438,7 +439,12 @@ def test_second_or_zero_central_part_is_refused():
             parse_pair(text)
         assert err.value.offset == offset, text
         assert text[offset:].startswith("z=["), text
-        ReferenceParser(text).parse()     # the former parser accepted it
+        if message == "second central part":
+            ReferenceParser(text).parse()     # the former parser accepted it
+        else:
+            # the former parser built a 0-dim center, which the pair model refuses
+            with pytest.raises(ConstraintError, match="zero central part; leave the center out"):
+                ReferenceParser(text).parse()
 
 
 def test_compute_exits_0_1_or_2_on_fuzzed_texts(fuzzed):
