@@ -175,6 +175,8 @@ def parse_h_pattern(text: str) -> tuple[ItemPattern, ...]:
         targets: tuple[int, ...] = (0,)
         if "@" in part:
             part, tail = part.split("@", 1)
+            if not all(x.isdigit() for x in tail.split(",")):
+                raise TableFormatError(f"bad item targets {tail!r}")
             targets = tuple(int(x) - 1 for x in tail.split(","))
         m = _TYPE_PAT.match(part)
         if not m or m.group(1) not in ITEM_BASES:
@@ -543,6 +545,17 @@ class Catalog:
         aux = {key: _FIELDS[key](text) for key, text in rec.items()}
         entry = CatalogEntry(aux.pop("table"), aux.pop("row"), aux.pop("g"), aux.pop("h", ()),
                              aux.pop("constraint", ()), aux.pop("gens", ()), aux)
+        # factor numbers are 1-based: item targets count the factors of g,
+        # module terms the simple factors of norm
+        factors = len(entry.g_pattern)
+        for t in (t + 1 for ip in entry.h_pattern for t in ip.targets):
+            if not 1 <= t <= factors:
+                raise TableFormatError(f"item target {t} is not one of the {factors} factors of g")
+        factors = sum(tp.base != "Z" for tp in aux.get("norm", ()))
+        for f in (f for _, terms in aux.get("mods", ()) for _, f, _ in terms):
+            if not 1 <= f <= factors:
+                raise TableFormatError(f"module term factor {f} is not one of the {factors} "
+                                       "simple factors of norm")
         if table in ("T1.4", "T1.6"):
             # matching binds each variable from the arguments it occurs alone in
             missing = set(entry.variables()) - set(entry.affine_args) - {"s"}

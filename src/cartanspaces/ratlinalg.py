@@ -4,6 +4,10 @@ A subspace is stored through its reduced row-echelon basis: pivot entries
 are 1, each pivot column is cleared above and below, rows are ordered by
 pivot column and zero rows are dropped.  That form is unique, so equal
 subspaces always carry identical bases and compare equal structurally.
+Elimination is fraction-free (after Bareiss, Math. Comp. 22, 1968): rows
+are scaled by the lcm of their denominators into ints, an update is
+p*row_i - a*row_r divided by the gcd of its entries, and only the final
+rows are divided by their pivots into the Fractions of a stored basis.
 No floating point is used anywhere.
 """
 
@@ -11,19 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ContractError, DimensionError
 
 Vector = tuple[Fraction, ...]
+_UNIT = (Fraction(0), Fraction(1))
 
 
 def vec(entries: Iterable) -> Vector:
     return tuple(Fraction(x) for x in entries)
-
-
-def zero_vec(n: int) -> Vector:
-    return (Fraction(0),) * n
 
 
 def dot(u: Vector, v: Vector):
@@ -33,30 +35,38 @@ def dot(u: Vector, v: Vector):
     return sum(a * b for a, b in zip(u, v))
 
 
-def rref(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    for r in m:
+def _integral(rows: Iterable[Sequence], width: int):
+    """Each row as (d, d * row) in ints, d the lcm of the row's denominators."""
+    for r in rows:
         if len(r) != width:
             raise DimensionError(f"row of length {len(r)} in ambient of dimension {width}")
+        d = lcm(*(x.denominator for x in r))
+        yield d, [x.numerator * (d // x.denominator) for x in r]
+
+
+def _clear(row: list[int], top: list[int], c: int) -> list[int]:
+    """p*row - a*top, p/a = top[c]/row[c] in lowest terms, over its entries' gcd."""
+    g = gcd(top[c], row[c])
+    p, a = top[c] // g, row[c] // g
+    row = [p * x - a * y for x, y in zip(row, top)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def rref(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    m = [r for _, r in _integral(rows, width)]
     pivots: list[int] = []
-    r = 0
     for c in range(width):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        m = [_clear(row, m[r], c) if row[c] and i != r else row for i, row in enumerate(m)]
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [row for row in m[:r]], pivots
+    return [[Fraction(x, row[c]) if x else _UNIT[0] for x in row]
+            for row, c in zip(m, pivots)], pivots
 
 
 @dataclass(frozen=True)
@@ -73,17 +83,16 @@ class RationalSubspace:
     def contains(self, other: "RationalSubspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionError("ambient dimensions differ")
-        return all(member(self, b) for b in other.basis)
+        return member(self, *other.basis)
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: int) -> RationalSubspace:
-    rows = [vec(v) for v in vectors]
-    basis, _ = rref(rows, ambient_dim)
-    return RationalSubspace(ambient_dim, tuple(tuple(r) for r in basis))
+    basis, _ = rref(list(vectors), ambient_dim)
+    return RationalSubspace(ambient_dim, tuple(map(tuple, basis)))
 
 
 def full_space(ambient_dim: int) -> RationalSubspace:
-    eye = [tuple(Fraction(int(i == j)) for j in range(ambient_dim)) for i in range(ambient_dim)]
+    eye = (tuple(_UNIT[i == j] for j in range(ambient_dim)) for i in range(ambient_dim))
     return RationalSubspace(ambient_dim, tuple(eye))
 
 
@@ -91,22 +100,23 @@ def zero_space(ambient_dim: int) -> RationalSubspace:
     return RationalSubspace(ambient_dim, ())
 
 
-def member(space: RationalSubspace, v: Sequence) -> bool:
-    w = list(vec(v))
-    if len(w) != space.ambient_dim:
-        raise DimensionError(f"vector of length {len(w)} in ambient of dimension {space.ambient_dim}")
-    for b in space.basis:
-        p = next(i for i, x in enumerate(b) if x != 0)  # pivot = first nonzero, equals 1
-        if w[p] != 0:
-            f = w[p]
-            w = [x - f * y for x, y in zip(w, b)]
-    return all(x == 0 for x in w)
+def member(space: RationalSubspace, *vectors: Sequence) -> bool:
+    """Whether every vector lies in `space`: cleared on the basis pivots, it vanishes."""
+    basis = [(b, next(i for i, x in enumerate(b) if x))
+             for _, b in _integral(space.basis, space.ambient_dim)]
+    for _, w in _integral(vectors, space.ambient_dim):
+        for b, p in basis:
+            if w[p]:
+                w = _clear(w, b, p)
+        if any(w):
+            return False
+    return True
 
 
 def subspace_sum(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionError("ambient dimensions differ")
-    return span(list(a.basis) + list(b.basis), a.ambient_dim)
+    return span(a.basis + b.basis, a.ambient_dim)
 
 
 def intersect(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
@@ -124,34 +134,34 @@ def intersect(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
 def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[Vector]:
     """Basis of {x : M x = 0} for the matrix with the given rows."""
     m, pivots = rref(rows, width)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [Fraction(0)] * width
-        x[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            x[pc] = -m[r][fc]
-        basis.append(tuple(x))
-    return basis
+    at = dict(zip(pivots, m))
+    return [tuple(-at[c][fc] if c in at else _UNIT[c == fc] for c in range(width))
+            for fc in range(width) if fc not in at]
 
 
-def combine(coeffs: Sequence, vectors: Sequence[Vector], n: int) -> Vector:
+def combine(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> Vector:
     """sum_i coeffs[i] * vectors[i] in Q^n; extra coefficients are ignored."""
-    v = [Fraction(0)] * n
-    for c, u in zip(coeffs, vectors):
-        if c:
-            v = [x + c * y for x, y in zip(v, u)]
-    return tuple(v)
+    v, den = _combination(coeffs, vectors, n)
+    return tuple(Fraction(x, den) for x in v)
 
 
-def _kernel_span(rows: Sequence[Sequence[Fraction]], basis: Sequence[Vector],
-                 n: int) -> RationalSubspace:
-    """Span of the combinations of `basis` whose coefficients solve `rows`.
+def _combination(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> tuple[list[int], int]:
+    """combine() as integer numerators over one denominator."""
+    terms = [(c, u) for c, u in zip(coeffs, vectors) if c]
+    scaled = _integral([u for _, u in terms], n)
+    terms = [(Fraction(c) / d, r) for (c, _), (d, r) in zip(terms, scaled)]
+    den = lcm(*(c.denominator for c, _ in terms))
+    v = [0] * n
+    for c, r in terms:
+        k = c.numerator * (den // c.denominator)
+        v = [x + k * y for x, y in zip(v, r)]
+    return v, den
 
-    Each row has one column per unknown; the unknowns past `basis` are
-    solved for but do not enter the combination.
-    """
-    return span([combine(t, basis, n) for t in kernel_basis(rows, len(rows[0]))], n)
+
+def _kernel_span(rows: Sequence[Sequence], basis: Sequence[Sequence], n: int) -> RationalSubspace:
+    """Span of the combinations of `basis` whose coefficients solve `rows`
+    (one column per unknown; unknowns past `basis` do not enter them)."""
+    return span([_combination(t, basis, n)[0] for t in kernel_basis(rows, len(rows[0]))], n)
 
 
 @dataclass(frozen=True)
@@ -163,16 +173,9 @@ class LinearFunctional:
     def __call__(self, v: Sequence) -> Fraction:
         return dot(self.coeffs, vec(v))
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.coeffs)
 
-
-def annihilator_preimage(
-    space: RationalSubspace,
-    quotient_by: RationalSubspace,
-    functionals: Sequence[LinearFunctional],
-) -> RationalSubspace:
+def annihilator_preimage(space: RationalSubspace, quotient_by: RationalSubspace,
+                         functionals: Sequence[LinearFunctional]) -> RationalSubspace:
     """Cut `space` by the functionals, checking they respect the quotient.
 
     Returns {v in space : f(v) = 0 for all f}.  Each functional must vanish
@@ -181,16 +184,13 @@ def annihilator_preimage(
     ContractError rather than returning a wrong space.
     """
     n = space.ambient_dim
-    if quotient_by.ambient_dim != n:
-        raise DimensionError("quotient ambient differs from space ambient")
     if not space.contains(quotient_by):
         raise ContractError("quotient subspace is not contained in the given space")
-    for f in functionals:
-        if f.ambient_dim != n:
-            raise DimensionError("functional ambient differs from space ambient")
-        for b in quotient_by.basis:
-            if f(b) != 0:
-                raise ContractError("functional does not annihilate the quotient subspace")
+    covectors = [r for _, r in _integral([f.coeffs for f in functionals], n)]
+    quotient = [r for _, r in _integral(quotient_by.basis, n)]
+    if any(dot(f, b) for f in covectors for b in quotient):
+        raise ContractError("functional does not annihilate the quotient subspace")
     if not functionals or space.dim == 0:
         return space
-    return _kernel_span([[f(b) for b in space.basis] for f in functionals], space.basis, n)
+    basis = [r for _, r in _integral(space.basis, n)]
+    return _kernel_span([[dot(f, b) for b in basis] for f in covectors], basis, n)

@@ -23,7 +23,7 @@ from itertools import compress
 from operator import mul, neg
 
 from .errors import ConstraintError, DimensionError
-from .ratlinalg import Vector, dot, rref, zero_vec
+from .ratlinalg import Vector, combine, dot, rref
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
@@ -222,14 +222,8 @@ class RootSystem:
     def fundamental_weights(self) -> tuple[Vector, ...]:
         """Ambient coordinates of pi_1..pi_l, solved from the Cartan matrix on first use."""
         cinv = _invert([[Fraction(x) for x in row] for row in self.cartan_matrix])
-        weights = []
-        for i in range(self.rank):
-            w = zero_vec(self.ambient_dim)
-            for k, a in enumerate(self.simple_roots):
-                if cinv[k][i]:
-                    w = tuple(x + cinv[k][i] * y for x, y in zip(w, a))
-            weights.append(w)
-        return tuple(weights)
+        return tuple(combine([row[i] for row in cinv], self.simple_roots, self.ambient_dim)
+                     for i in range(self.rank))
 
     def pairing(self, beta: Vector, alpha: Vector) -> Fraction:
         """<beta, alpha^vee> = 2(beta,alpha)/(alpha,alpha)."""
@@ -239,11 +233,7 @@ class RootSystem:
         """Ambient coordinates of sum coeffs[i] * pi_{i+1}."""
         if len(coeffs) != self.rank:
             raise DimensionError(f"{len(coeffs)} coefficients for rank {self.rank}")
-        v = zero_vec(self.ambient_dim)
-        for c, w in zip(coeffs, self.fundamental_weights):
-            if c:
-                v = tuple(a + Fraction(c) * b for a, b in zip(v, w))
-        return v
+        return combine(coeffs, self.fundamental_weights, self.ambient_dim)
 
 
 def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -323,29 +313,23 @@ def build_root_system(t: SimpleType) -> RootSystem:
 
 
 def highest_root(rs: RootSystem) -> Vector:
-    """The dominant long root."""
-    long_sq = max(sum(x * x for x in r) for r in rs.roots)
-    for r in rs.roots:
-        if sum(x * x for x in r) == long_sq and all(
-                sum(x * y for x, y in zip(r, a)) >= 0 for a in rs.simple_roots):
-            return r
-    raise ConstraintError("no dominant long root found")  # unreachable for valid systems
+    """The dominant long root: the one positive root of greatest height."""
+    heights = [sum(c) for c in rs.positive_coords]
+    return rs.positive_roots[heights.index(max(heights))]
 
 
 def k_value(rs: RootSystem, long_root: Vector | None = None) -> int:
     """Sum of <beta, alpha^vee>^2 over all roots, for a long root alpha.
 
     The value does not depend on which long root is chosen; by default the
-    highest root is used.
+    highest root is used.  beta and -beta give the same term, so the sum
+    runs over the positive roots and is doubled.
     """
     alpha = highest_root(rs) if long_root is None else long_root
-    aa = sum(x * x for x in alpha)
-    if aa != max(sum(x * x for x in r) for r in rs.roots):
+    aa = dot(alpha, alpha)
+    if aa != max(rs.simple_norms):  # the longest simple root is long
         raise ConstraintError("k_value requires a long root")
-    total = 0
-    for beta in rs.roots:
-        d = 2 * sum(x * y for x, y in zip(beta, alpha))
-        total += d * d
+    total = 2 * sum((2 * dot(beta, alpha)) ** 2 for beta in rs.positive_roots)
     value = Fraction(total, aa * aa)
     if value.denominator != 1:
         raise ConstraintError("non-integral k value")

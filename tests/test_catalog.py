@@ -109,6 +109,14 @@ def _copy_tables(tmp_path, old: str = "", new: str = "", name: str = "t14.tbl"):
      "t16.tbl:8: T1.6 row needs exactly one of sat, cut"),
     ("t14.tbl", 'gens="pi(3)"', 'gens="pi(3)" idx=1', "t14.tbl:20: unknown field 'idx'"),
     ("t32.tbl", 'kform="16"', 'kform="16" kform="17"', "t32.tbl:11: field 'kform' given twice"),
+    # factor numbers: item targets within g, module terms within the simple factors of norm
+    ("t14.tbl", "h=diag@1,2", "h=diag@a,2", "t14.tbl:32: bad item targets 'a,2'"),
+    ("t14.tbl", "h=diag@1,2", "h=diag@0,2",
+     "t14.tbl:32: item target 0 is not one of the 2 factors of g"),
+    ("t14.tbl", "h=diag@1,2", "h=diag@1,3",
+     "t14.tbl:32: item target 3 is not one of the 2 factors of g"),
+    ("t48.tbl", 'mods="tau(1)*tau(2)"', 'mods="tau(1)*tau(3)"',
+     "t48.tbl:16: module term factor 3 is not one of the 2 simple factors of norm"),
 ])
 def test_planted_table_faults_fail_the_load(tmp_path, monkeypatch, name, old, new, message):
     _copy_tables(tmp_path, old, new, name)

@@ -65,3 +65,14 @@ def test_large_rank_regression():
     elapsed = time.perf_counter() - t0
     assert (res.rank, res.complexity) == (40, 380)
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
+
+
+def test_large_rank_central_pair():
+    # the central family at the rank ceiling: both the T1.6 cut and the
+    # central cut eliminate about 60 rows of width 128-129
+    t0 = time.perf_counter()
+    res = cartan_space(parse_pair("sl(129)/sl(100)+z=[pi_v(29)]"))
+    elapsed = time.perf_counter() - t0
+    assert (res.rank, res.complexity) == (57, 812)
+    assert res.trace == ("T1.6:1(k=100,n=129) with central part",)
+    assert elapsed < 10.0, f"took {elapsed:.1f}s"
