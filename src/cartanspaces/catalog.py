@@ -393,6 +393,9 @@ def _parse_mods(text: str) -> tuple[tuple[int, tuple[tuple[str, int, int | None]
             m = _MOD_TERM.match(term.strip())
             if not m or (m.group(1) == "rep") != (m.group(3) is not None):
                 raise TableFormatError(f"bad module term {term.strip()!r}")
+            if m.group(3) is not None and int(m.group(3)) < 1:
+                raise TableFormatError(f"module term {term.strip()!r} names highest weight "
+                                       f"{m.group(3)}; fundamental weights count from 1")
             terms.append((m.group(1), int(m.group(2)), int(m.group(3)) if m.group(3) else None))
         out.append((int(zexp or 0), tuple(terms)))
     return tuple(out)
@@ -517,6 +520,10 @@ class Catalog:
                 if key in self.entries:
                     raise TableFormatError(f"{path.name}:{lineno}: duplicate row {key}")
                 self.entries[key] = entry
+        # each table's rows in (string) row order, the order refusal texts follow
+        self._rows: dict[str, list[CatalogEntry]] = {}
+        for (table, _), entry in sorted(self.entries.items()):
+            self._rows.setdefault(table, []).append(entry)
         # family rows by (factor, items), instantiated once for this catalog
         self.family_row = lru_cache(maxsize=4096)(self._family_row)
 
@@ -570,27 +577,23 @@ class Catalog:
         return self.entries[key]
 
     def rows(self, table: str) -> list[CatalogEntry]:
-        return [e for (t, _), e in sorted(self.entries.items()) if t == table]
+        return self._rows.get(table, [])
 
 
 _CATALOG: Catalog | None = None
+_CATALOG_ENV: str | None = None   # the CARTAN_DATA_DIR that _CATALOG was loaded for
 _CATALOG_LOCK = threading.Lock()
-
-
-def default_data_dir() -> Path:
-    env = os.environ.get("CARTAN_DATA_DIR")
-    if env:
-        return Path(env)
-    return Path(__file__).parent / "tables"
 
 
 def get_catalog() -> Catalog:
     """The catalog of the current data directory; threads that ask at once
     for a new one wait for a single load."""
-    global _CATALOG
+    global _CATALOG, _CATALOG_ENV
+    env = os.environ.get("CARTAN_DATA_DIR")
     with _CATALOG_LOCK:
-        if _CATALOG is None or _CATALOG.data_dir != default_data_dir():
-            _CATALOG = Catalog(default_data_dir())
+        if _CATALOG is None or env != _CATALOG_ENV:
+            _CATALOG = Catalog(Path(env) if env else Path(__file__).parent / "tables")
+            _CATALOG_ENV = env
         return _CATALOG
 
 
@@ -1000,6 +1003,10 @@ def _module_dim(terms, simple: Sequence[NormFactor]) -> int:
             dim *= f.tau_dim * (f.tau_dim - 1) // 2
         else:
             rs = f.root_system()
+            if hw > rs.rank:
+                name = f.base if f.size is None else f"{f.base}({f.size})"
+                raise TableFormatError(f"module term rep({factor},{hw}) names fundamental "
+                                       f"weight {hw} of {name}, which has rank {rs.rank}")
             coeffs = [0] * rs.rank
             coeffs[hw - 1] = 1
             dim *= weyl_dim(rs, coeffs)
@@ -1082,8 +1089,11 @@ def verify_entry(entry: CatalogEntry, params: dict) -> list[Check]:
     from . import engine
     from .indexes import dynkin_index_of, module_index_complement_types
 
+    try:
+        inst = instantiate(entry, params)
+    except CartanError as exc:
+        return [Check(f"{entry.row_id} instantiates at {params}", False, str(exc))]
     checks: list[Check] = []
-    inst = instantiate(entry, params)
 
     if entry.table == "T1.4":
         distinct = sorted(set(inst.gens))

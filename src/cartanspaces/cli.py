@@ -133,7 +133,9 @@ def cmd_verify(target: str, out=None) -> int:
 
 
 def survey_pairs(max_rank: int):
-    """All catalog-instantiable pairs with rk(g) <= max_rank, in table order."""
+    """All catalog-instantiable pairs with rk(g) <= max_rank, in table order,
+    each answered from its row instance (`engine.row_result`); a test and the
+    benchmark's deep survey check confirm that `compute` answers the same."""
     if max_rank > 12:
         raise ConstraintError("survey is limited to rank 12")
     catalog = get_catalog()
@@ -147,12 +149,10 @@ def survey_pairs(max_rank: int):
                 inst = instantiate(entry, params)
             except CartanError:
                 continue
-            center = None
-            if entry.table == "T1.6":
-                center = span([[1]], 1)
+            center = span([[1]], 1) if entry.table == "T1.6" else None
             try:
                 pair = ReductivePair(inst.g_types, 0, inst.items, center)
-                result = engine.cartan_space(pair)
+                result = engine.row_result(pair, inst)
             except CartanError:
                 continue
             key = (entry.table, int(entry.row), tuple(sorted(params.items())))

@@ -8,8 +8,10 @@ precise reason; nothing is extrapolated.
 
 Pipeline: the pair splits into its indecomposable summands; each summand
 becomes a standalone pair (`decompose`) whose space is computed in that
-pair's own coordinates; one column map (`_moved`) places it in the whole
-pair's ambient, where the space is the block sum of the summands' spaces.
+pair's own coordinates from the table rows found for it (`_row_answer`);
+one column map (`_moved`) places it in the whole pair's ambient, where the
+space is the block sum of the summands' spaces.  `row_result` answers a
+pair whose row instance is already known, without a search.
 
 Coordinates: a pair with factors g_1,...,g_f and a c-dimensional central
 torus uses ambient Q^(rk g_1 + ... + rk g_f + c).  The first blocks are
@@ -31,6 +33,7 @@ from .catalog import (
     CatalogEntry,
     HItem,
     ReductivePair,
+    RowInstance,
     family_row_for_factor,
     instantiate,
     match_t14,
@@ -187,10 +190,10 @@ def _moved(vectors: Sequence[Sequence], cols: Sequence[int], n: int) -> list[Vec
     return out
 
 
-def _params_str(params: dict) -> str:
-    if not params:
-        return ""
-    return "(" + ",".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
+def _row_str(inst: RowInstance) -> str:
+    """The row and its parameters, as the trace names them."""
+    params = ",".join(f"{k}={v}" for k, v in sorted(inst.params.items()))
+    return inst.entry.row_id + (f"({params})" if params else "")
 
 
 def _solve_alpha(full_sp: RationalSubspace, sat_sp: RationalSubspace,
@@ -201,21 +204,15 @@ def _solve_alpha(full_sp: RationalSubspace, sat_sp: RationalSubspace,
     `value` at `lam`; coefficients are restricted to the pivot coordinates
     of the full space so the solution is unique and deterministic.
     """
-    basis = list(full_sp.basis)
-    pivots = [next(i for i, x in enumerate(b) if x != 0) for b in basis]
-    eqs: list[list[Fraction]] = []
-    for b in sat_sp.basis:
-        eqs.append([b[p] for p in pivots] + [Fraction(0)])
+    pivots = [next(i for i, x in enumerate(b) if x != 0) for b in full_sp.basis]
+    eqs = [[b[p] for p in pivots] + [Fraction(0)] for b in sat_sp.basis]
     eqs.append([lam[p] for p in pivots] + [Fraction(value)])
     red, piv = rref(eqs, len(pivots) + 1)
     if len(pivots) in piv:
         raise ContractError("duality weight lies in the saturated space; functional unsolvable")
-    sol = [Fraction(0)] * len(pivots)
-    for r, pc in enumerate(piv):
-        sol[pc] = red[r][-1]
     coeffs = [Fraction(0)] * rank
-    for p, c in zip(pivots, sol):
-        coeffs[p] = c
+    for r, pc in enumerate(piv):
+        coeffs[pivots[pc]] = red[r][-1]
     return tuple(coeffs)
 
 
@@ -239,90 +236,97 @@ def alpha_functional(entry: CatalogEntry, params: dict, scale=1) -> LinearFuncti
     return LinearFunctional(tuple(scale * c for c in coeffs))
 
 
-def _summand_space(sub: ReductivePair,
-                   names: Sequence[str]) -> tuple[list[Vector], bool, list[str]]:
-    """The space of an indecomposable pair, in the pair's own coordinates.
-
-    Returns spanning vectors, whether the items belong to the essential part
-    (the central rows always do) and the trace.  `names` are the items as
-    written in the whole pair, for the refusal texts.
-    """
+def _row_answer(sub: ReductivePair, insts: Sequence[RowInstance],
+                perm: Sequence[int] = ()) -> tuple[list[Vector], bool, list[str]]:
+    """The space of an indecomposable pair from its rows: one T1.4 instance
+    whose pattern position p is factor perm[p] of `sub`, or one T1.6 instance
+    per factor.  Returns spanning vectors in the pair's own coordinates, whether
+    the items are essential (the central rows always are) and the trace."""
     n = sub.weight_ambient
     offsets = _factor_offsets(sub)
 
     def on(f: int, vectors) -> list[Vector]:
         return _moved(vectors, range(offsets[f], offsets[f] + sub.factors[f].rank), n)
 
+    if insts[0].entry.table == "T1.4":
+        inst, = insts
+        cols = [offsets[perm[p]] + j for p, t in enumerate(inst.g_types) for j in range(t.rank)]
+        return _moved(inst.gens, cols, n), True, [_row_str(inst)]
+    if sub.center is None:
+        # bare members of central-extension families: the space is the full
+        # weight block and the essential part collapses to zero
+        vectors, trace = [], []
+        for f, inst in enumerate(insts):
+            full_sp: RationalSubspace = inst.aux["full"]
+            if full_sp.dim != sub.factors[f].rank:
+                raise InternalConsistencyError(
+                    f"bare family member {inst.entry.row_id} does not span its block")
+            vectors += on(f, full_sp.basis)
+            trace.append(f"{_row_str(inst)} bare: full block, essential part collapses")
+        return vectors, False, trace
+    # every factor's items form one extension family, so every factor owns a
+    # slot and the slots run in factor order
+    z0 = _moved(kernel_basis([], sub.center_dim), range(sub.rank_g, n), n)
+    space_vectors, sat_vectors, covectors = list(z0), [], list(z0)
+    trace: list[str] = []
+    for f, (t, inst) in enumerate(zip(sub.factors, insts)):
+        full_sp, sat_sp = inst.aux["full"], inst.aux["sat"]
+        space_vectors += on(f, full_sp.basis)
+        sat_vectors += on(f, sat_sp.basis)
+        coeffs = _solve_alpha(full_sp, sat_sp, inst.aux["lam"], inst.aux["alpha_value"], t.rank)
+        covectors += on(f, [coeffs])
+        trace.append(f"{_row_str(inst)} with central part")
+    functionals = [LinearFunctional(combine(row, covectors, n)) for row in sub.center.basis]
+    result = annihilator_preimage(span(space_vectors, n), span(sat_vectors, n), functionals)
+    return list(result.basis), True, trace
+
+
+def _summand_space(sub: ReductivePair,
+                   names: Sequence[str]) -> tuple[list[Vector], bool, list[str]]:
+    """Find the rows of an indecomposable pair and answer from them.  `names`
+    are the items as written in the whole pair, for the refusal texts."""
     # central-torus-only summand
     if not sub.factors:
         rows = list(sub.center.basis) if sub.center else []
-        return kernel_basis(rows, n), True, ["central-torus block"]
+        return kernel_basis(rows, sub.weight_ambient), True, ["central-torus block"]
 
     if sub.center is None:
         if not sub.items:
-            return kernel_basis([], n), True, [
+            return kernel_basis([], sub.weight_ambient), True, [
                 "trivial subalgebra in " + "+".join(map(str, sub.factors)) + ": full block"]
-        near_miss = None
         try:
-            matched = match_t14(list(sub.factors), list(sub.items))
+            matched, near_miss = match_t14(list(sub.factors), list(sub.items)), None
         except ConstraintError as exc:
-            matched = None
-            near_miss = str(exc)
+            matched, near_miss = None, str(exc)
         if matched is not None:
             entry, params, factor_map = matched
-            inst = instantiate(entry, params)
-            cols = [offsets[factor_map[p]] + j
-                    for p, t in enumerate(inst.g_types) for j in range(t.rank)]
-            return _moved(inst.gens, cols, n), True, [f"{entry.row_id}{_params_str(params)}"]
-        # fallback: bare member of a central-extension family (the space is
-        # the full weight block; the essential part collapses to zero)
+            return _row_answer(sub, [instantiate(entry, params)], factor_map)
+        # fallback: bare members of central-extension families
         if all(len(it.targets) == 1 for it in sub.items):
             fams = [family_row_for_factor(t, sub.items_on_factor(f))
                     for f, t in enumerate(sub.factors)]
-            if all(inst is not None for inst in fams):
-                vectors, trace = [], []
-                for f, inst in enumerate(fams):
-                    full_sp: RationalSubspace = inst.aux["full"]
-                    if full_sp.dim != sub.factors[f].rank:
-                        raise InternalConsistencyError(
-                            f"bare family member {inst.entry.row_id} does not span its block")
-                    vectors += on(f, full_sp.basis)
-                    trace.append(f"{inst.entry.row_id}{_params_str(inst.params)} bare: "
-                                 "full block, essential part collapses")
-                return vectors, False, trace
+            if None not in fams:
+                return _row_answer(sub, fams)
         detail = near_miss or "no classification row matches"
         raise OutsideCatalogError(
             "summand (" + "+".join(map(str, sub.factors))
             + " / " + (" + ".join(names) or "0")
             + f") is outside the encoded tables: {detail}")
 
-    # non-semisimple summand: every factor's items form one extension family,
-    # so every factor owns a slot and the slots run in factor order
+    # non-semisimple summand
     for it, name in zip(sub.items, names):
         if len(it.targets) != 1:
             raise OutsideCatalogError(
                 f"central part attached to a summand with the cross-factor item "
                 f"{name}; no table covers this")
-    z0 = _moved(kernel_basis([], sub.center_dim), range(sub.rank_g, n), n)
-    space_vectors, sat_vectors, covectors = list(z0), [], list(z0)
-    trace: list[str] = []
-    for f, t in enumerate(sub.factors):
-        inst = family_row_for_factor(t, sub.items_on_factor(f))
-        if inst is None:
-            local = [name for it, name in zip(sub.items, names) if it.targets == (f,)]
-            raise OutsideCatalogError(
-                f"the ideals on factor {t} (" + (" + ".join(local) or "none")
-                + ") admit no central extension in the encoded families")
-        full_sp: RationalSubspace = inst.aux["full"]
-        sat_sp: RationalSubspace = inst.aux["sat"]
-        space_vectors += on(f, full_sp.basis)
-        sat_vectors += on(f, sat_sp.basis)
-        coeffs = _solve_alpha(full_sp, sat_sp, inst.aux["lam"], inst.aux["alpha_value"], t.rank)
-        covectors += on(f, [coeffs])
-        trace.append(f"{inst.entry.row_id}{_params_str(inst.params)} with central part")
-    functionals = [LinearFunctional(combine(row, covectors, n)) for row in sub.center.basis]
-    result = annihilator_preimage(span(space_vectors, n), span(sat_vectors, n), functionals)
-    return list(result.basis), True, trace
+    fams = [family_row_for_factor(t, sub.items_on_factor(f)) for f, t in enumerate(sub.factors)]
+    if None in fams:
+        f = fams.index(None)
+        local = [name for it, name in zip(sub.items, names) if it.targets == (f,)]
+        raise OutsideCatalogError(
+            f"the ideals on factor {sub.factors[f]} (" + (" + ".join(local) or "none")
+            + ") admit no central extension in the encoded families")
+    return _row_answer(sub, fams)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +356,28 @@ def _assemble(pair: ReductivePair) -> tuple[list[Vector], EssentialPart, list[st
     return vectors, ess, trace
 
 
+def _result(pair: ReductivePair, vectors: list[Vector], ess: EssentialPart,
+            trace: list[str]) -> CartanResult:
+    space = span(vectors, pair.weight_ambient)
+    return CartanResult(space, space.dim, ess, complexity_of_space(pair, space), tuple(trace))
+
+
 def cartan_space(pair: ReductivePair) -> CartanResult:
     """Compute the Cartan space with rank, essential part, and complexity."""
-    vectors, ess, trace = _assemble(pair)
-    space = span(vectors, pair.weight_ambient)
-    c = complexity_of_space(pair, space)
-    return CartanResult(space, space.dim, ess, c, tuple(trace))
+    return _result(pair, *_assemble(pair))
+
+
+def row_result(pair: ReductivePair, inst: RowInstance) -> CartanResult:
+    """The result for the indecomposable pair a T1.4 or T1.6 row instance
+    spells (for T1.6 with a one-dimensional central part), answered from the
+    instance without a search; such a row keeps every item as essential."""
+    if (pair.factors, pair.center_dim, pair.items, "T1.6" if pair.center else "T1.4") != (
+            inst.g_types, 0, inst.items, inst.entry.table):
+        raise ConstraintError(f"the pair is not the one {inst.entry.row_id} spells")
+    vectors, _, trace = _row_answer(pair, [inst], range(len(pair.factors)))
+    ess = EssentialPart(tuple(range(len(pair.items))), pair.items,
+                        pair.center.basis if pair.center else ())
+    return _result(pair, vectors, ess, trace)
 
 
 def essential_part(pair: ReductivePair) -> EssentialPart:

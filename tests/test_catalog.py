@@ -117,6 +117,9 @@ def _copy_tables(tmp_path, old: str = "", new: str = "", name: str = "t14.tbl"):
      "t14.tbl:32: item target 3 is not one of the 2 factors of g"),
     ("t48.tbl", 'mods="tau(1)*tau(2)"', 'mods="tau(1)*tau(3)"',
      "t48.tbl:16: module term factor 3 is not one of the 2 simple factors of norm"),
+    # a rep term's highest weight is a fundamental weight, counted from 1
+    ("t48.tbl", 'mods="rep(1,2) + z(1)', 'mods="rep(1,0) + z(1)',
+     "t48.tbl:15: module term 'rep(1,0)' names highest weight 0; fundamental weights count from 1"),
 ])
 def test_planted_table_faults_fail_the_load(tmp_path, monkeypatch, name, old, new, message):
     _copy_tables(tmp_path, old, new, name)
@@ -124,6 +127,18 @@ def test_planted_table_faults_fail_the_load(tmp_path, monkeypatch, name, old, ne
     with pytest.raises(TableFormatError) as err:
         get_catalog()
     assert str(err.value).startswith(message)
+
+
+def test_rep_weight_above_the_factor_rank_fails_verify(tmp_path, monkeypatch, capsys):
+    # the rank of the norm factor sp(2*n) is known only at parameters, so
+    # the instantiation fails and verify names the row, without a traceback
+    _copy_tables(tmp_path, 'mods="rep(1,2) + z(1)', 'mods="rep(1,99) + z(1)', "t48.tbl")
+    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    assert main(["verify", "T4.8"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == [
+        f"[FAIL] T4.8:3 instantiates at {{'n': {n}}}: module term rep(1,99) names "
+        f"fundamental weight 99 of sp({2 * n}), which has rank {n}" for n in (2, 4)]
 
 
 def test_misspelt_field_is_not_answered(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import cartanspaces
-from cartanspaces.catalog import HItem
+from cartanspaces import engine
+from cartanspaces.catalog import HItem, ReductivePair, get_catalog, instantiate
 from cartanspaces.cli import (
     cmd_compute,
     cmd_survey,
@@ -18,7 +19,7 @@ from cartanspaces.cli import (
     parse_pair,
     survey_pairs,
 )
-from cartanspaces.errors import PairSyntaxError
+from cartanspaces.errors import ConstraintError, PairSyntaxError
 from cartanspaces.rootsystems import AMBIENT_CEILING, RANK_CEILING, SimpleType, sl, so, sp
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -223,6 +224,45 @@ def test_survey_contents():
     rows1 = survey_pairs(1)
     spherical1 = [format_pair(p) for _, p, r in rows1 if r.complexity == 0]
     assert len(spherical1) <= 3
+
+
+def _disagreements(max_rank: int) -> list:
+    """Survey keys whose answer differs from `compute`'s in any field."""
+    return [key for key, pair, result in survey_pairs(max_rank)
+            if result != engine.cartan_space(pair)]
+
+
+def test_survey_answers_agree_with_compute():
+    # the survey answers each pair from the row instance that spells it and
+    # `compute` searches the tables for the row: space, rank, essential
+    # part, complexity and trace must all agree
+    assert len(survey_pairs(8)) == 216
+    assert _disagreements(8) == []
+
+
+def test_survey_agreement_check_flags_a_shadowing_row(tmp_path, monkeypatch):
+    # a copy of T1.4:1 under row=0 sorts first, so `compute` answers the
+    # pairs of row 1 from row 0 and names row 0 in the trace
+    src = get_catalog().data_dir
+    for f in src.iterdir():
+        (tmp_path / f.name).write_text(f.read_text())
+    t14 = tmp_path / "t14.tbl"
+    row1 = next(line for line in t14.read_text().splitlines() if "row=1 " in line)
+    t14.write_text(t14.read_text() + row1.replace("row=1 ", "row=0 ") + "\n")
+    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    row1_keys = [key for key, _, _ in survey_pairs(8) if key[:2] == ("T1.4", 1)]
+    assert row1_keys and _disagreements(8) == row1_keys
+
+
+def test_row_result_refuses_a_pair_the_row_does_not_spell():
+    inst = instantiate(get_catalog().lookup("T1.4", 1), {"n": 5, "k": 4})
+    pair = ReductivePair(inst.g_types, 0, inst.items)
+    assert engine.row_result(pair, inst) == engine.cartan_space(pair)
+    # another factor, or a torus the row does not have
+    for other in (ReductivePair((sl(6),), 0, inst.items),
+                  ReductivePair(inst.g_types, 1, inst.items)):
+        with pytest.raises(ConstraintError, match="not the one T1.4:1 spells"):
+            engine.row_result(other, inst)
 
 
 def test_survey_command(capsys):
