@@ -282,8 +282,8 @@ def instantiate_weight_groups(
     groups: Sequence[WeightGroup],
     params: dict,
     factor_types: Sequence[SimpleType],
-) -> list[Vector]:
-    """Evaluate symbolic generators to coordinate vectors over the factors.
+) -> list[tuple[int, ...]]:
+    """Evaluate symbolic generators to integer vectors over the factors.
 
     The ambient is the concatenation of the fundamental-weight blocks of the
     factors, in order.
@@ -292,11 +292,11 @@ def instantiate_weight_groups(
     offsets = [sum(ranks[:i]) for i in range(len(ranks))]
     total = sum(ranks)
     duals = [dual_weight_permutation(t) for t in factor_types]
-    out: list[Vector] = []
+    out: list[tuple[int, ...]] = []
     for g in groups:
         for env in _range_envs(g.rng, params):
             for terms in g.sums:
-                v = [Fraction(0)] * total
+                v = [0] * total
                 for dualize, factor, idx_expr in terms:
                     if factor >= len(factor_types):
                         raise TableFormatError("weight term refers to a missing factor")
@@ -464,19 +464,21 @@ class CatalogEntry:
         return f"{self.table}:{self.row}"
 
     @cached_property
-    def affine_args(self) -> dict[str, tuple[tuple[int, int], ...]]:
-        """Variable -> (step, offset) of each g or h pattern argument
-        `[step*]name[+offset]` in that variable alone."""
+    def affine_args(self) -> dict[str, tuple[tuple[str, int, int], ...]]:
+        """Variable -> (base, step, offset) of each g, h or norm pattern
+        argument `[step*]name[+offset]` in that variable alone."""
         out: dict[str, list] = {}
-        for arg in [tp.arg for tp in self.g_pattern] + [ip.arg for ip in self.h_pattern]:
-            if arg is None or len(exprs.variables(arg)) != 1:
+        for p in self.g_pattern + self.h_pattern + self.aux.get("norm", ()):
+            if p.arg is None or len(exprs.variables(p.arg)) != 1:
                 continue
-            m = _AFFINE_ARG.fullmatch(arg.replace(" ", ""))
+            m = _AFFINE_ARG.fullmatch(p.arg.replace(" ", ""))
             if not m:
-                raise TableFormatError(f"argument {arg!r} is not affine in its variable")
-            out.setdefault(m.group(2), []).append((int(m.group(1) or 1), int(m.group(3) or 0)))
+                raise TableFormatError(f"argument {p.arg!r} is not affine in its variable")
+            out.setdefault(m.group(2), []).append(
+                (p.base, int(m.group(1) or 1), int(m.group(3) or 0)))
         return {name: tuple(found) for name, found in out.items()}
 
+    @cached_property
     def variables(self) -> tuple[str, ...]:
         names: set[str] = set()
         for tp in self.g_pattern:
@@ -491,10 +493,14 @@ class CatalogEntry:
             names |= exprs.variables(c)
         return tuple(sorted(names))
 
+    def violated(self, params: dict) -> str | None:
+        """The first constraint the parameters break, or None."""
+        return next((c for c in self.constraints if not exprs.check_relation(c, params)), None)
+
     def check_constraints(self, params: dict) -> None:
-        for c in self.constraints:
-            if not exprs.check_relation(c, params):
-                raise ConstraintError(f"{self.row_id}: parameters {params} violate {c!r}")
+        c = self.violated(params)
+        if c is not None:
+            raise ConstraintError(f"{self.row_id}: parameters {params} violate {c!r}")
 
 
 class Catalog:
@@ -563,11 +569,11 @@ class Catalog:
             if not 1 <= f <= factors:
                 raise TableFormatError(f"module term factor {f} is not one of the {factors} "
                                        "simple factors of norm")
-        if table in ("T1.4", "T1.6"):
-            # matching binds each variable from the arguments it occurs alone in
-            missing = set(entry.variables()) - set(entry.affine_args) - {"s"}
-            if missing:
-                raise TableFormatError(f"variable {min(missing)!r} occurs alone in no pattern argument")
+        # matching binds each variable, and enumeration bounds it, from the
+        # arguments it occurs alone in
+        missing = set(entry.variables) - set(entry.affine_args) - {"s"}
+        if missing:
+            raise TableFormatError(f"variable {min(missing)!r} occurs alone in no pattern argument")
         return entry
 
     def lookup(self, table: str, row) -> CatalogEntry:
@@ -789,9 +795,9 @@ def _solve_assignments(entry: CatalogEntry, g_types: Sequence[SimpleType], sizes
     pair's sizes or ranks.  So only the values solving such an argument for
     such a size are tried, in lexicographic order.
     """
-    names = entry.variables()
+    names = entry.variables
     domains = [sorted({t.series for t in g_types}) if name == "s" else
-               sorted({(size - offset) // step for step, offset in entry.affine_args[name]
+               sorted({(size - offset) // step for _, step, offset in entry.affine_args[name]
                        for size in sizes if size >= offset and (size - offset) % step == 0})
                for name in names]
     for combo in itertools.product(*domains):
@@ -831,8 +837,7 @@ def _candidates(entry: CatalogEntry, g_types: Sequence[SimpleType], items: Seque
             )
             if want != have:
                 continue
-            violated = next((c for c in entry.constraints
-                             if not exprs.check_relation(c, params)), None)
+            violated = entry.violated(params)
             if violated is None and entry.h_pattern and entry.h_pattern[0].base == "diag":
                 # the diagonal item's type must be the common factor type
                 diag_items = [it for it in items if it.base == "diag"]
@@ -905,7 +910,7 @@ class RowInstance:
     params: dict
     g_types: tuple[SimpleType, ...]
     items: tuple[HItem, ...]
-    gens: tuple[Vector, ...]          # ambient: concatenated weight blocks
+    gens: tuple[tuple[int, ...], ...]  # integers; ambient: concatenated weight blocks
     aux: dict
 
     @property
@@ -1019,19 +1024,44 @@ def _module_dim(terms, simple: Sequence[NormFactor]) -> int:
 
 _SERIES_ORDER = ["A", "B", "C", "D", "E", "F", "G"]
 
+# (a, b): the largest argument of a pattern base whose algebra has rank at
+# most R is a*R + b -- sl(R+1), so(2R+1), sp(2R); rank forms and X(r) take R
+_MAX_SIZE = {"sl": (1, 1), "so": (2, 1), "spin": (2, 1), "sp": (2, 0)}
 
-def admissible_params(entry: CatalogEntry, bound: int = 40):
-    """Yield admissible parameter dicts in lexicographic order."""
-    names = entry.variables()
-    domains = [_SERIES_ORDER if name == "s" else range(1, bound + 1) for name in names]
+# minimal_params looks no higher than this rank
+_MINIMAL_RANK = 40
+
+
+def _top(entry: CatalogEntry, name: str, max_rank: int) -> int:
+    """The largest value of a variable at which every argument it occurs
+    alone in names an algebra of rank at most max_rank."""
+    tops = []
+    for base, step, offset in entry.affine_args[name]:
+        a, b = _MAX_SIZE.get(base, (1, 0))
+        tops.append((a * max_rank + b - offset) // step)
+    return min(tops)
+
+
+def admissible_params(entry: CatalogEntry, max_rank: int):
+    """Yield the row's admissible parameter dicts with rk g <= max_rank, in
+    lexicographic order.
+
+    Admissible: the constraints hold, the g pattern resolves and no item
+    size is negative.  A variable runs from 1 to the largest value at which
+    every argument it occurs alone in (checked at load) names an algebra of
+    rank <= max_rank; an item's rank is at most its factor's, so no
+    admissible dict of small enough rank is left out (`_top`).
+    """
+    names = entry.variables
+    domains = [_SERIES_ORDER if name == "s" else range(1, _top(entry, name, max_rank) + 1)
+               for name in names]
     for combo in itertools.product(*domains):
         params = dict(zip(names, combo))
         try:
-            entry.check_constraints(params)
-            for tp in entry.g_pattern:
-                tp.resolve(params)
-            if any(ip.arg is not None and exprs.evaluate_int(ip.arg, params) < 0
-                   for ip in entry.h_pattern):
+            if (entry.violated(params) is not None
+                    or sum(tp.resolve(params).rank for tp in entry.g_pattern) > max_rank
+                    or any(ip.arg is not None and exprs.evaluate_int(ip.arg, params) < 0
+                           for ip in entry.h_pattern)):
                 continue
         except (ConstraintError, TableFormatError):
             continue
@@ -1039,14 +1069,18 @@ def admissible_params(entry: CatalogEntry, bound: int = 40):
 
 
 def minimal_params(entry: CatalogEntry) -> dict:
-    for params in admissible_params(entry):
-        return params
-    raise ConstraintError(f"{entry.row_id} has no admissible parameters")
+    """The admissible parameters of least rk g, the lexicographically first
+    of that rank."""
+    for max_rank in range(_MINIMAL_RANK + 1):
+        for params in admissible_params(entry, max_rank):
+            return params
+    raise ConstraintError(
+        f"{entry.row_id} has no admissible parameters up to rank {_MINIMAL_RANK}")
 
 
-def shifted_params(entry: CatalogEntry, delta: int = 2) -> dict:
-    """Minimal admissible parameters with every numeric value raised by delta."""
-    base = minimal_params(entry)
+def shifted_params(entry: CatalogEntry, base: dict, delta: int = 2) -> dict:
+    """`base` with every numeric value raised by delta, when the constraints
+    still hold and g still resolves there; else `base`."""
     shifted = {k: (v if isinstance(v, str) else v + delta) for k, v in base.items()}
     try:
         entry.check_constraints(shifted)
@@ -1059,11 +1093,13 @@ def shifted_params(entry: CatalogEntry, delta: int = 2) -> dict:
 
 def sample_params(entry: CatalogEntry) -> list[dict]:
     """The parameters `verify` checks a row at: every rank up to 12 of a
-    T3.2 series, else the minimal ones and the shifted ones when they differ."""
+    T3.2 series, else the minimal ones (ConstraintError when there are none)
+    and the shifted ones when they differ."""
     if entry.table == "T3.2":
-        return list(admissible_params(entry, bound=12))
-    tried = [minimal_params(entry), shifted_params(entry, 2)]
-    return tried[:1] if tried[1] == tried[0] else tried
+        return list(admissible_params(entry, 12))
+    base = minimal_params(entry)
+    shifted = shifted_params(entry, base)
+    return [base] if shifted == base else [base, shifted]
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,16 @@ def cmd_compute(expr: str, as_json: bool = False, bourbaki: bool = False, out=No
     return 0
 
 
+def _row_checks(entry: cat.CatalogEntry) -> list[cat.Check]:
+    """The row's checks at each of its sample parameters; a row that admits
+    none is one failed check."""
+    try:
+        samples = cat.sample_params(entry)
+    except ConstraintError as exc:
+        return [cat.Check(f"{entry.row_id} admissible parameters", False, str(exc))]
+    return [check for params in samples for check in verify_entry(entry, params)]
+
+
 def cmd_verify(target: str, out=None) -> int:
     out = out if out is not None else sys.stdout
     tables = list(cat.TABLE_FILES)
@@ -123,10 +133,9 @@ def cmd_verify(target: str, out=None) -> int:
     checks: list[cat.Check] = []
     for table in tables:
         for entry in catalog.rows(table):
-            for params in cat.sample_params(entry):
-                for check in verify_entry(entry, params):
-                    print(str(check), file=out)
-                    checks.append(check)
+            for check in _row_checks(entry):
+                print(str(check), file=out)
+                checks.append(check)
     failed = [c for c in checks if not c.passed]
     print(f"{len(checks)} checks, {len(failed)} failed", file=out)
     return 1 if failed else 0
@@ -141,10 +150,7 @@ def survey_pairs(max_rank: int):
     catalog = get_catalog()
     seen = []
     for entry in catalog.rows("T1.4") + catalog.rows("T1.6"):
-        for params in cat.admissible_params(entry, bound=2 * max_rank + 3):
-            # admissible params resolve; drop the large ones before instantiating
-            if sum(tp.resolve(params).rank for tp in entry.g_pattern) > max_rank:
-                continue
+        for params in cat.admissible_params(entry, max_rank):
             try:
                 inst = instantiate(entry, params)
             except CartanError:

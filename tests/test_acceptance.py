@@ -17,6 +17,7 @@ from cartanspaces.catalog import (
     instantiate,
     lookup,
     minimal_params,
+    sample_params,
     shifted_params,
     verify_entry,
 )
@@ -40,6 +41,7 @@ from cartanspaces.rootsystems import (
     so,
     sp,
 )
+from reference_params import box_admissible_params
 
 
 def _report(n: int, text: str):
@@ -68,16 +70,14 @@ def test_criterion_2_index_partition():
     t0 = time.perf_counter()
     checked = 0
     for entry in catalog.rows("T3.6"):
-        for params in {tuple(sorted(minimal_params(entry).items())),
-                       tuple(sorted(shifted_params(entry, 2).items()))}:
-            inst = instantiate(entry, dict(params))
+        for params in sample_params(entry):
+            inst = instantiate(entry, params)
             l = module_index_complement_types(inst.g_types[0], inst.items[0], inst.aux["idx"])
             assert l < 1, (entry.row_id, params, l)
             checked += 1
     for entry in catalog.rows("T3.7"):
-        for params in {tuple(sorted(minimal_params(entry).items())),
-                       tuple(sorted(shifted_params(entry, 2).items()))}:
-            inst = instantiate(entry, dict(params))
+        for params in sample_params(entry):
+            inst = instantiate(entry, params)
             l = module_index_complement_types(inst.g_types[0], inst.items[0], inst.aux["idx"])
             assert l == 1, (entry.row_id, params, l)
             checked += 1
@@ -91,9 +91,8 @@ def test_criterion_3_semisimple_table_ranks():
     catalog = get_catalog()
     checked = 0
     for entry in catalog.rows("T1.4"):
-        for params in {tuple(sorted(minimal_params(entry).items())),
-                       tuple(sorted(shifted_params(entry, 2).items()))}:
-            inst = instantiate(entry, dict(params))
+        for params in sample_params(entry):
+            inst = instantiate(entry, params)
             distinct = sorted(set(inst.gens))
             spanned = span(distinct, inst.ambient)
             assert spanned.dim == len(distinct), (entry.row_id, params)
@@ -192,24 +191,21 @@ def test_criterion_8_normalizer_bookkeeping():
     for entry in catalog.rows("T4.8"):
         if entry.row in ("8", "9"):
             continue  # the second factor degenerates below the simple range
-        for params in {tuple(sorted(minimal_params(entry).items())),
-                       tuple(sorted(shifted_params(entry, 2).items()))}:
-            for c in verify_entry(entry, dict(params)):
+        for params in sample_params(entry):
+            for c in verify_entry(entry, params):
                 assert c.passed, str(c)
                 checked += 1
     _report(8, f"dimension bookkeeping exact on {checked} normalizer rows")
 
 
 def _random_t14_instances(rng, count):
-    from cartanspaces.catalog import admissible_params
-
     catalog = get_catalog()
     rows = catalog.rows("T1.4")
     out = []
     while len(out) < count:
         entry = rng.choice(rows)
         choices = []
-        for i, params in enumerate(admissible_params(entry, bound=9)):
+        for i, params in enumerate(box_admissible_params(entry, bound=9)):
             choices.append(params)
             if i > 30:
                 break
@@ -254,7 +250,7 @@ def test_criterion_9_property_suites():
         assert again.space == res.space
         runs += 1
     for entry in get_catalog().rows("T1.6"):
-        for params in (minimal_params(entry), shifted_params(entry, 2)):
+        for params in sample_params(entry):
             inst = instantiate(entry, params)
             for center in (None, span([[1]], 1)):
                 pair = ReductivePair(inst.g_types, 0, inst.items, center)
@@ -286,7 +282,8 @@ def test_criterion_9_property_suites():
 
     # rank additivity across all central-extension families
     for entry in get_catalog().rows("T1.6"):
-        tried = [minimal_params(entry), shifted_params(entry, 2), shifted_params(entry, 4)]
+        base = minimal_params(entry)
+        tried = [base, shifted_params(entry, base, 2), shifted_params(entry, base, 4)]
         for params in tried:
             inst = instantiate(entry, params)
             assert inst.aux["full"].dim == inst.aux["sat"].dim + 1

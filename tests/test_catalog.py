@@ -23,6 +23,7 @@ from cartanspaces.errors import ConstraintError, TableFormatError
 from cartanspaces.exprs import check_relation, evaluate, variables
 from cartanspaces.ratlinalg import zero_space
 from cartanspaces.rootsystems import AMBIENT_CEILING, RANK_CEILING, SimpleType, sl, so, sp
+from reference_params import box_admissible_params
 
 
 def test_lookup_examples():
@@ -69,8 +70,46 @@ def test_every_row_instantiates_at_minimal_and_bumped():
             continue
         p0 = minimal_params(entry)
         instantiate(entry, p0)
-        p2 = shifted_params(entry, 2)
+        p2 = shifted_params(entry, p0, 2)
         instantiate(entry, p2)
+
+
+def _rank(entry, params) -> int:
+    return sum(tp.resolve(params).rank for tp in entry.g_pattern)
+
+
+def _enumeration_mismatches() -> list:
+    """(row, R) for each T1.4/T1.6 row and R = 0..12 where the rank-bounded
+    enumerator differs from the reference box over 1..2R+3 with the rank
+    filter the survey applied to it."""
+    catalog = get_catalog()
+    out = []
+    for entry in catalog.rows("T1.4") + catalog.rows("T1.6"):
+        for max_rank in range(13):
+            want = [p for p in box_admissible_params(entry, 2 * max_rank + 3)
+                    if _rank(entry, p) <= max_rank]
+            if list(cat.admissible_params(entry, max_rank)) != want:
+                out.append((entry.row_id, max_rank))
+    return out
+
+
+def test_enumerator_equals_the_box_with_the_rank_filter():
+    assert _enumeration_mismatches() == []
+
+
+@pytest.mark.parametrize("base, size", [("so", (2, 0)), ("sl", (1, 0))])
+def test_enumeration_check_catches_a_short_size_bound(monkeypatch, base, size):
+    # so(2R+1) or sl(R+1) left out of the variable domains
+    monkeypatch.setitem(cat._MAX_SIZE, base, size)
+    assert _enumeration_mismatches() != []
+
+
+def test_sampling_and_minimal_params_equal_the_box():
+    for (table, _), entry in sorted(get_catalog().entries.items()):
+        if table == "T3.2":
+            assert cat.sample_params(entry) == list(box_admissible_params(entry, 12))
+        # least rank, then lexicographic: the box's first hit on every row
+        assert minimal_params(entry) == next(box_admissible_params(entry, 40)), entry.row_id
 
 
 def test_parse_error_reports_line_number(tmp_path, monkeypatch):
@@ -141,6 +180,20 @@ def test_rep_weight_above_the_factor_rank_fails_verify(tmp_path, monkeypatch, ca
         f"fundamental weight 99 of sp({2 * n}), which has rank {n}" for n in (2, 4)]
 
 
+def test_row_without_parameters_fails_verify(tmp_path, monkeypatch, capsys):
+    # no rank up to the search's limit admits T1.4:3 at n>=50: one failed
+    # check names the row, the other rows are still checked, no traceback
+    _copy_tables(tmp_path, 'h=sp(2*n)                      constraint="n>=2"',
+                 'h=sp(2*n)                      constraint="n>=50"')
+    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    assert main(["verify", "all"]) == 1
+    out = capsys.readouterr().out
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["[FAIL] T1.4:3 admissible parameters: "
+                      "T1.4:3 has no admissible parameters up to rank 40"]
+    assert "T4.8:19" in out and out.endswith(" checks, 1 failed\n")
+
+
 def test_misspelt_field_is_not_answered(tmp_path, monkeypatch, capsys):
     # with the constraint dropped, T1.4:1 would match sl(5)/sl(2) and exit 0
     _copy_tables(tmp_path, 'constraint="n>=2; 2*k>=n+2', 'constriant="n>=2; 2*k>=n+2')
@@ -162,6 +215,22 @@ def test_row_variables_must_occur_alone_in_affine_arguments(tmp_path, monkeypatc
     with pytest.raises(TableFormatError) as err:
         get_catalog()
     assert str(err.value).startswith("t14.tbl:") and message in str(err.value)
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("t34.tbl", 'constraint="k<=n; n>=2', 'constraint="j<=n; k<=n; n>=2',
+     "'j' occurs alone in no pattern"),
+    ("t48.tbl", 'norm="sl(k)*sl(n-k)*Z"', 'norm="sl(k*k)*sl(n-k)*Z"', "'k*k' is not affine"),
+])
+def test_every_table_bounds_its_variables_by_affine_arguments(tmp_path, monkeypatch,
+                                                              name, old, new, message):
+    # the parameter enumeration bounds each variable through such an
+    # argument, norm arguments included, in the tables matching never reads
+    _copy_tables(tmp_path, old, new, name)
+    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    with pytest.raises(TableFormatError) as err:
+        get_catalog()
+    assert str(err.value).startswith(f"{name}:") and message in str(err.value)
 
 
 def test_data_dir_override(tmp_path, monkeypatch):
@@ -215,7 +284,7 @@ def _reference_assignments(entry, g_types, _sizes):
     sizes: every variable over 0..(largest factor size)+2, each factor tested
     as soon as all of its variables are bound."""
     bound = max((t.classical_size or (t.rank + 1)) for t in g_types) + 2
-    names = list(entry.variables())
+    names = list(entry.variables)
     domain = {v: sorted({t.series for t in g_types}) if v == "s" else range(bound + 1)
               for v in names}
     checkpoints = [[] for _ in range(len(names) + 1)]
@@ -364,7 +433,7 @@ def test_verify_entry_all_rows():
     catalog = get_catalog()
     for (table, row), entry in sorted(catalog.entries.items()):
         if table == "T3.2":
-            checks = verify_entry(entry, {"l": 4} if entry.variables() else {})
+            checks = verify_entry(entry, {"l": 4} if entry.variables else {})
         else:
             checks = verify_entry(entry, minimal_params(entry))
         assert all(c.passed for c in checks), [str(c) for c in checks if not c.passed]

@@ -316,3 +316,17 @@ def test_survey_golden_determinism(capsys):
     out = capsys.readouterr().out
     want = (GOLDEN / "survey_rank4_spherical.txt").read_text()
     assert out == want
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["survey", "--max-rank", "12"], "survey_rank12.txt"),
+    (["verify", "all"], "verify_all.txt"),
+])
+def test_command_golden_output(argv, golden):
+    # the whole standard output, byte for byte, and a clean exit
+    src = str(Path(cartanspaces.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "cartanspaces.cli", *argv],
+                          capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / golden).read_bytes()

@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from cartanspaces.catalog import HItem, ReductivePair, get_catalog, instantiate, minimal_params, shifted_params
+from cartanspaces.catalog import HItem, ReductivePair, get_catalog, instantiate, minimal_params, sample_params
 from cartanspaces.errors import ConstraintError
 from cartanspaces.indexes import (
     dynkin_index_of,
@@ -95,7 +95,7 @@ def test_k_monotonicity_over_all_catalog_embeddings():
     catalog = get_catalog()
     for table in ("T3.4", "T3.6", "T3.7"):
         for entry in catalog.rows(table):
-            for params in (minimal_params(entry), shifted_params(entry, 2)):
+            for params in sample_params(entry):
                 inst = instantiate(entry, params)
                 h_type = inst.items[0].simple_type
                 g_type = inst.g_types[0]
@@ -107,12 +107,12 @@ def test_k_monotonicity_over_all_catalog_embeddings():
 def test_partition_sweep():
     catalog = get_catalog()
     for entry in catalog.rows("T3.6"):
-        for params in (minimal_params(entry), shifted_params(entry, 2)):
+        for params in sample_params(entry):
             inst = instantiate(entry, params)
             l = Q(inst.aux["idx"]) * _k(inst.g_types[0]) / _k(inst.items[0].simple_type) - 1
             assert l < 1, (entry.row_id, params, l)
     for entry in catalog.rows("T3.7"):
-        for params in (minimal_params(entry), shifted_params(entry, 2)):
+        for params in sample_params(entry):
             inst = instantiate(entry, params)
             l = Q(inst.aux["idx"]) * _k(inst.g_types[0]) / _k(inst.items[0].simple_type) - 1
             assert l == 1, (entry.row_id, params, l)
