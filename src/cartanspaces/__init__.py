@@ -21,11 +21,9 @@ from .engine import (
     Twist,
     alpha_functional,
     cartan_space,
-    complexity,
     decompose,
     essential_pair,
     essential_part,
-    is_spherical,
     levi_centralizer_dim,
     twist,
 )
@@ -41,18 +39,14 @@ from .errors import (
 )
 from .indexes import (
     dynkin_index_of,
-    module_index_complement,
     per_factor_index,
-    screen_nontrivial_ssgp,
 )
 from .ratlinalg import (
     LinearFunctional,
     RationalSubspace,
     annihilator_preimage,
-    intersect,
     member,
     span,
-    subspace_sum,
 )
 from .rootsystems import (
     RootSystem,

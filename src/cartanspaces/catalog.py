@@ -27,13 +27,15 @@ from pathlib import Path
 from typing import Sequence
 
 from . import exprs
-from .errors import CartanError, ConstraintError, DimensionError, TableFormatError
+from .errors import CartanError, ConstraintError, ContractError, DimensionError, TableFormatError
+from .indexes import dynkin_index_of, module_index_complement_types
 from .ratlinalg import (
     LinearFunctional,
     RationalSubspace,
     Vector,
     annihilator_preimage,
     member,
+    rref,
     span,
     zero_space,
 )
@@ -962,6 +964,28 @@ def instantiate(entry: CatalogEntry, params: dict) -> RowInstance:
     return RowInstance(entry, dict(params), g_types, tuple(items), gens, aux)
 
 
+def solve_alpha(inst: RowInstance) -> Vector:
+    """Coefficients of a T1.6 instance's duality functional on its factor's
+    fundamental-weight coordinates.
+
+    The functional is pinned by vanishing on the saturated space and taking
+    the stored value at the stored weight; coefficients are restricted to
+    the pivot coordinates of the full space so the solution is unique and
+    deterministic.
+    """
+    lam = inst.aux["lam"]
+    pivots = [next(i for i, x in enumerate(b) if x != 0) for b in inst.aux["full"].basis]
+    eqs = [[b[p] for p in pivots] + [Fraction(0)] for b in inst.aux["sat"].basis]
+    eqs.append([lam[p] for p in pivots] + [Fraction(inst.aux["alpha_value"])])
+    red, piv = rref(eqs, len(pivots) + 1)
+    if len(pivots) in piv:
+        raise ContractError("duality weight lies in the saturated space; functional unsolvable")
+    coeffs = [Fraction(0)] * inst.ambient
+    for r, pc in enumerate(piv):
+        coeffs[pivots[pc]] = red[r][-1]
+    return tuple(coeffs)
+
+
 # --- normalizer factors and module summands (T4.8) -------------------------
 
 @dataclass(frozen=True)
@@ -1122,9 +1146,6 @@ def verify_entry(entry: CatalogEntry, params: dict) -> list[Check]:
 
     Failures are reported, not raised.
     """
-    from . import engine
-    from .indexes import dynkin_index_of, module_index_complement_types
-
     try:
         inst = instantiate(entry, params)
     except CartanError as exc:
@@ -1187,7 +1208,7 @@ def verify_entry(entry: CatalogEntry, params: dict) -> list[Check]:
         # the duality functional solves, vanishes on the saturated space and
         # takes the stored value at the stored weight
         try:
-            fn = engine.alpha_functional(entry, params)
+            fn = LinearFunctional(solve_alpha(inst))
             ann = all(fn(b) == 0 for b in sat.basis)
             ok = ann and fn(lam) == inst.aux["alpha_value"]
             detail = f"value {fn(lam)} at the stored weight, annihilates saturated: {ann}"

@@ -68,8 +68,20 @@ def _basis_columns(pair: ReductivePair, basis, bourbaki: bool) -> list[list[str]
 # commands
 # ---------------------------------------------------------------------------
 
+def _load_tables() -> cat.Catalog | None:
+    """The catalog, loaded before any input is read so that a table at fault
+    is reported as such; None after printing the load error."""
+    try:
+        return get_catalog()
+    except CartanError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_compute(expr: str, as_json: bool = False, bourbaki: bool = False, out=None) -> int:
     out = out if out is not None else sys.stdout
+    if _load_tables() is None:
+        return 1
     try:
         pair = parse_pair(expr)
     except PairSyntaxError as exc:
@@ -125,10 +137,8 @@ def cmd_verify(target: str, out=None) -> int:
                   file=sys.stderr)
             return 1
         tables = [target]
-    try:
-        catalog = get_catalog()
-    except CartanError as exc:  # the tables failed to load
-        print(f"error: {exc}", file=sys.stderr)
+    catalog = _load_tables()
+    if catalog is None:
         return 1
     checks: list[cat.Check] = []
     for table in tables:

@@ -37,10 +37,10 @@ from .catalog import (
     family_row_for_factor,
     instantiate,
     match_t14,
+    solve_alpha,
 )
 from .errors import (
     ConstraintError,
-    ContractError,
     InternalConsistencyError,
     OutsideCatalogError,
 )
@@ -51,7 +51,7 @@ from .ratlinalg import (
     annihilator_preimage,
     combine,
     kernel_basis,
-    rref,
+    rref,  # not called here; benchmark/test_benchmark.py looks it up as engine.rref
     span,
 )
 from .rootsystems import build_root_system, diagram_automorphisms
@@ -196,26 +196,6 @@ def _row_str(inst: RowInstance) -> str:
     return inst.entry.row_id + (f"({params})" if params else "")
 
 
-def _solve_alpha(full_sp: RationalSubspace, sat_sp: RationalSubspace,
-                 lam: Vector, value: Fraction, rank: int) -> Vector:
-    """Coefficients of the duality functional on one factor's weight block.
-
-    The functional is pinned by vanishing on the saturated space and taking
-    `value` at `lam`; coefficients are restricted to the pivot coordinates
-    of the full space so the solution is unique and deterministic.
-    """
-    pivots = [next(i for i, x in enumerate(b) if x != 0) for b in full_sp.basis]
-    eqs = [[b[p] for p in pivots] + [Fraction(0)] for b in sat_sp.basis]
-    eqs.append([lam[p] for p in pivots] + [Fraction(value)])
-    red, piv = rref(eqs, len(pivots) + 1)
-    if len(pivots) in piv:
-        raise ContractError("duality weight lies in the saturated space; functional unsolvable")
-    coeffs = [Fraction(0)] * rank
-    for r, pc in enumerate(piv):
-        coeffs[pivots[pc]] = red[r][-1]
-    return tuple(coeffs)
-
-
 def alpha_functional(entry: CatalogEntry, params: dict, scale=1) -> LinearFunctional:
     """The duality functional of a central-extension family row, scaled.
 
@@ -227,13 +207,10 @@ def alpha_functional(entry: CatalogEntry, params: dict, scale=1) -> LinearFuncti
     if entry.table != "T1.6":
         raise ConstraintError(f"{entry.row_id} is not a central-extension family row")
     inst = instantiate(entry, params)
-    rank = inst.g_types[0].rank
     scale = Fraction(scale)
     if scale == 0:
-        return LinearFunctional((Fraction(0),) * rank)
-    coeffs = _solve_alpha(inst.aux["full"], inst.aux["sat"], inst.aux["lam"],
-                          inst.aux["alpha_value"], rank)
-    return LinearFunctional(tuple(scale * c for c in coeffs))
+        return LinearFunctional((Fraction(0),) * inst.ambient)
+    return LinearFunctional(tuple(scale * c for c in solve_alpha(inst)))
 
 
 def _row_answer(sub: ReductivePair, insts: Sequence[RowInstance],
@@ -269,12 +246,10 @@ def _row_answer(sub: ReductivePair, insts: Sequence[RowInstance],
     z0 = _moved(kernel_basis([], sub.center_dim), range(sub.rank_g, n), n)
     space_vectors, sat_vectors, covectors = list(z0), [], list(z0)
     trace: list[str] = []
-    for f, (t, inst) in enumerate(zip(sub.factors, insts)):
-        full_sp, sat_sp = inst.aux["full"], inst.aux["sat"]
-        space_vectors += on(f, full_sp.basis)
-        sat_vectors += on(f, sat_sp.basis)
-        coeffs = _solve_alpha(full_sp, sat_sp, inst.aux["lam"], inst.aux["alpha_value"], t.rank)
-        covectors += on(f, [coeffs])
+    for f, inst in enumerate(insts):
+        space_vectors += on(f, inst.aux["full"].basis)
+        sat_vectors += on(f, inst.aux["sat"].basis)
+        covectors += on(f, [solve_alpha(inst)])
         trace.append(f"{_row_str(inst)} with central part")
     functionals = [LinearFunctional(combine(row, covectors, n)) for row in sub.center.basis]
     result = annihilator_preimage(span(space_vectors, n), span(sat_vectors, n), functionals)
@@ -455,14 +430,6 @@ def complexity_of_space(pair: ReductivePair, space: RationalSubspace) -> int:
     return c
 
 
-def complexity(pair: ReductivePair) -> int:
-    return cartan_space(pair).complexity
-
-
-def is_spherical(pair: ReductivePair) -> bool:
-    return cartan_space(pair).complexity == 0
-
-
 # ---------------------------------------------------------------------------
 # diagram twisting
 # ---------------------------------------------------------------------------
@@ -474,11 +441,6 @@ class Twist:
 
     factor_perm: tuple[int, ...]
     node_perms: tuple[tuple[int, ...], ...]
-
-
-def identity_twist(pair: ReductivePair) -> Twist:
-    return Twist(tuple(range(len(pair.factors))),
-                 tuple(tuple(range(t.rank)) for t in pair.factors))
 
 
 def _validate_twist(pair: ReductivePair, tw: Twist) -> None:

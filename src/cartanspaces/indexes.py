@@ -12,20 +12,21 @@ indices.
 
 The index of the complement module g/h of a simple h in g is
     i(h, g) * k_g / k_h  -  1
-with k the long-dual-root norm of the adjoint trace form; the screening
-predicate turns that number into the conservative statements available
-about generic stabilizers.
+with k the long-dual-root norm of the adjoint trace form.  `verify` reads
+both: T3.4 rows must have index 1, T3.6 rows a complement index below 1 and
+T3.7 rows exactly 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .catalog import HItem, ReductivePair
 from .errors import ConstraintError
 from .rootsystems import SimpleType, build_root_system, k_value
+
+if TYPE_CHECKING:  # catalog imports this module
+    from .catalog import HItem
 
 # Unit-index embeddings by (ambient surface, item base); the classical part
 # mirrors table T3.4, the orthogonal trace doubling gives so-in-sl index 2.
@@ -90,52 +91,8 @@ def dynkin_index_of(item: HItem, g_types: Sequence[SimpleType]) -> int:
     return total
 
 
-def _k_of_type(t: SimpleType) -> int:
-    return k_value(build_root_system(t))
-
-
-def module_index_complement(g: SimpleType, item: HItem) -> Fraction:
-    """Index of the complement module g/h for a simple item h inside g."""
-    idx = per_factor_index(item, g)
-    return module_index_complement_types(g, item, idx)
-
-
 def module_index_complement_types(g: SimpleType, item: HItem, idx: int) -> Fraction:
-    kg = _k_of_type(g)
-    kh = _k_of_type(item.simple_type)
+    """Index of the complement module g/h for a simple item h of Dynkin index idx in g."""
+    kg = k_value(build_root_system(g))
+    kh = k_value(build_root_system(item.simple_type))
     return Fraction(idx * kg, kh) - 1
-
-
-@dataclass(frozen=True)
-class ScreenVerdict:
-    kind: str  # 'possibly-nontrivial' | 'trivial-forced' | 'contained-in-index-1-ideals' | 'unknown'
-    detail: str
-    index_values: tuple[tuple[str, Fraction], ...] = ()
-
-
-def screen_nontrivial_ssgp(pair: ReductivePair) -> ScreenVerdict:
-    """Conservative generic-stabilizer screening for the module g/h.
-
-    If every simple ideal of h sees a complement index above 1, the generic
-    stabilizer is trivial; if all indices are at least 1, it is contained in
-    the sum of the ideals with index exactly 1.  Nothing stronger is
-    claimed.
-    """
-    values: list[tuple[str, Fraction]] = []
-    for item in pair.items:
-        try:
-            # the index plus one is additive over the factors the ideal projects into
-            l = sum(module_index_complement(pair.factors[t], item) + 1 for t in item.targets) - 1
-        except ConstraintError as exc:
-            return ScreenVerdict("unknown", f"index not computable for {item.describe()}: {exc}")
-        values.append((item.describe(), l))
-    if not values:
-        return ScreenVerdict("possibly-nontrivial", "no simple ideals to screen", ())
-    if all(l > 1 for _, l in values):
-        return ScreenVerdict("trivial-forced", "every ideal has complement index above 1", tuple(values))
-    if all(l >= 1 for _, l in values):
-        ones = [name for name, l in values if l == 1]
-        return ScreenVerdict(
-            "contained-in-index-1-ideals",
-            "generic stabilizer lies in " + " + ".join(ones), tuple(values))
-    return ScreenVerdict("possibly-nontrivial", "some ideal has complement index below 1", tuple(values))

@@ -17,14 +17,14 @@
 
 Classical names are sizes, not ranks: `sl(6)` is the rank-5 algebra.  An
 item without `in` lives in the only factor (or, for `diag` and `bridge`,
-in the only two); `in` names factors by 1-based position, or one factor
-by its type when that type occurs once.  A table reference stands for the
-items of that T1.4 or T1.6 row, on the factors of the row's types in order
-unless `in` lists their positions.  `pi_v(I)` is the distinguished central
-generator of a family item (the index must match the item's stored
-generator; `@F` names the factor when several extend centrally); `z0(J)`
-is the J-th central coordinate of the ambient algebra.  A pair has at most
-one central part, and it is not zero.
+in the only two); `in` names distinct factors by 1-based position, or one
+factor by its type when that type occurs once.  A table reference stands
+for the items of that T1.4 or T1.6 row, on the factors of the row's types
+in order unless `in` lists their positions.  `pi_v(I)` is the
+distinguished central generator of a family item (the index must match the
+item's stored generator; `@F` names the factor when several extend
+centrally); `z0(J)` is the J-th central coordinate of the ambient algebra.
+A pair has at most one central part, and it is not zero.
 
 Every input error is a `PairSyntaxError` carrying the offset of the piece
 at fault.  Besides the rank ceiling of each factor, the weight ambient
@@ -235,6 +235,8 @@ class _Parser:
         for t in targets:
             if not 0 <= t < len(factors):
                 self.err(at, f"factor {t + 1} does not exist")
+        if len(set(targets)) < count:
+            self.err(at, f"'in {sel}' names a factor twice")
         return targets
 
     def center(self, pair: ReductivePair, start: int, end: int) -> RationalSubspace:

@@ -91,11 +91,6 @@ def span(vectors: Iterable[Sequence], ambient_dim: int) -> RationalSubspace:
     return RationalSubspace(ambient_dim, tuple(map(tuple, basis)))
 
 
-def full_space(ambient_dim: int) -> RationalSubspace:
-    eye = (tuple(_UNIT[i == j] for j in range(ambient_dim)) for i in range(ambient_dim))
-    return RationalSubspace(ambient_dim, tuple(eye))
-
-
 def zero_space(ambient_dim: int) -> RationalSubspace:
     return RationalSubspace(ambient_dim, ())
 
@@ -111,24 +106,6 @@ def member(space: RationalSubspace, *vectors: Sequence) -> bool:
         if any(w):
             return False
     return True
-
-
-def subspace_sum(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionError("ambient dimensions differ")
-    return span(a.basis + b.basis, a.ambient_dim)
-
-
-def intersect(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
-    """Intersection via the kernel of the stacked coefficient system."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionError("ambient dimensions differ")
-    n = a.ambient_dim
-    if a.dim == 0 or b.dim == 0:
-        return zero_space(n)
-    # Unknowns (x, y) with sum x_i a_i = sum y_j b_j; one equation per coordinate.
-    rows = [[u[c] for u in a.basis] + [-u[c] for u in b.basis] for c in range(n)]
-    return _kernel_span(rows, a.basis, n)
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[Vector]:
@@ -156,12 +133,6 @@ def _combination(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> tuple
         k = c.numerator * (den // c.denominator)
         v = [x + k * y for x, y in zip(v, r)]
     return v, den
-
-
-def _kernel_span(rows: Sequence[Sequence], basis: Sequence[Sequence], n: int) -> RationalSubspace:
-    """Span of the combinations of `basis` whose coefficients solve `rows`
-    (one column per unknown; unknowns past `basis` do not enter them)."""
-    return span([_combination(t, basis, n)[0] for t in kernel_basis(rows, len(rows[0]))], n)
 
 
 @dataclass(frozen=True)
@@ -193,4 +164,5 @@ def annihilator_preimage(space: RationalSubspace, quotient_by: RationalSubspace,
     if not functionals or space.dim == 0:
         return space
     basis = [r for _, r in _integral(space.basis, n)]
-    return _kernel_span([[dot(f, b) for b in basis] for f in covectors], basis, n)
+    rows = [[dot(f, b) for b in basis] for f in covectors]
+    return span([_combination(t, basis, n)[0] for t in kernel_basis(rows, len(basis))], n)

@@ -205,7 +205,6 @@ class RootSystem:
     positive_coords: tuple[tuple[int, ...], ...]
     simple_norms: tuple[int, ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
-    form_scale: Fraction  # invariant form = form_scale * (ambient dot product)
 
     @property
     def rank(self) -> int:
@@ -306,9 +305,6 @@ def build_root_system(t: SimpleType) -> RootSystem:
         positive_coords=tuple(seen[r] for r in positive),
         simple_norms=norms,
         cartan_matrix=cartan_int,
-        # every root is conjugate to a simple one, so the longest simple
-        # root is a long root
-        form_scale=Fraction(2, max(norms)),
     )
 
 

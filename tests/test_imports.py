@@ -1,0 +1,50 @@
+"""The package imports its own modules at module level only.
+
+A function-local import of a package module hides a dependency cycle
+instead of breaking it; standard-library imports inside a function (such as
+`cli.main`'s argparse) stay allowed.
+"""
+
+import ast
+from pathlib import Path
+
+import cartanspaces
+
+SOURCES = sorted(Path(cartanspaces.__file__).parent.glob("*.py"))
+
+
+def local_package_imports(tree: ast.AST) -> list[tuple[str, int]]:
+    """(function name, line) of every package import inside a function."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                own = node.level > 0 or (node.module or "").split(".")[0] == "cartanspaces"
+            elif isinstance(node, ast.Import):
+                own = any(a.name.split(".")[0] == "cartanspaces" for a in node.names)
+            else:
+                continue
+            if own:
+                found.append((fn.name, node.lineno))
+    return found
+
+
+def test_no_function_imports_a_package_module():
+    # the walk sees relative, absolute and nested imports, and lets stdlib ones be
+    probe = ast.parse(
+        "import os\n"
+        "def f():\n"
+        "    import argparse\n"
+        "    from . import engine\n"
+        "    def g():\n"
+        "        import cartanspaces.indexes\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from cartanspaces.catalog import HItem\n")
+    assert local_package_imports(probe) == [("f", 4), ("f", 6), ("g", 6), ("m", 9)]
+    assert len(SOURCES) >= 10
+    for path in SOURCES:
+        found = local_package_imports(ast.parse(path.read_text(), str(path)))
+        assert not found, (path.name, found)

@@ -2,14 +2,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from cartanspaces.catalog import HItem, ReductivePair, get_catalog, instantiate, minimal_params, sample_params
+from cartanspaces.catalog import HItem, get_catalog, instantiate, minimal_params, sample_params
 from cartanspaces.errors import ConstraintError
-from cartanspaces.indexes import (
-    dynkin_index_of,
-    module_index_complement,
-    per_factor_index,
-    screen_nontrivial_ssgp,
-)
+from cartanspaces.indexes import dynkin_index_of, module_index_complement_types, per_factor_index
 from cartanspaces.rootsystems import SimpleType, sl, so, sp
 
 
@@ -41,11 +36,14 @@ def test_unsupported_shape():
 
 
 def test_complement_index_values():
-    assert module_index_complement(sl(4), HItem("sp", 4, (0,))) == Q(1, 3)
-    assert module_index_complement(sl(4), HItem("sl", 2, (0,))) == 1
-    assert module_index_complement(so(8), HItem("so", 5, (0,))) == 1
-    assert module_index_complement(so(8), HItem("so", 6, (0,))) == Q(1, 2)
-    assert module_index_complement(SimpleType("G", 2), HItem("sl", 3, (0,))) == Q(1, 3)
+    for g, item, want in [
+        (sl(4), HItem("sp", 4, (0,)), Q(1, 3)),
+        (sl(4), HItem("sl", 2, (0,)), 1),
+        (so(8), HItem("so", 5, (0,)), 1),
+        (so(8), HItem("so", 6, (0,)), Q(1, 2)),
+        (SimpleType("G", 2), HItem("sl", 3, (0,)), Q(1, 3)),
+    ]:
+        assert module_index_complement_types(g, item, per_factor_index(item, g)) == want
 
 
 def test_stored_indices_agree_with_kind_constants():
@@ -55,38 +53,6 @@ def test_stored_indices_agree_with_kind_constants():
             continue  # stored constant only; no classical kind derivation
         inst = instantiate(entry, minimal_params(entry))
         assert per_factor_index(inst.items[0], inst.g_types[0]) == inst.aux["idx"], entry.row_id
-
-
-def test_screening_verdicts():
-    # every ideal far above index 1: generic stabilizer forced trivial
-    v = screen_nontrivial_ssgp(ReductivePair((sl(9),), 0, (HItem("sl", 3, (0,)),)))
-    assert v.kind == "trivial-forced"
-
-    # one ideal exactly at 1, others above
-    v = screen_nontrivial_ssgp(
-        ReductivePair((sl(8),), 0, (HItem("sl", 4, (0,)), HItem("sl", 3, (0,)))))
-    assert v.kind == "contained-in-index-1-ideals"
-    assert "sl(4)" in v.detail
-
-    # no simple ideals at all
-    v = screen_nontrivial_ssgp(ReductivePair((sl(4),), 1, ()))
-    assert v.kind == "possibly-nontrivial"
-
-    # an ideal below 1 blocks any conclusion
-    v = screen_nontrivial_ssgp(ReductivePair((sl(6),), 0, (HItem("sp", 6, (0,)),)))
-    assert v.kind == "possibly-nontrivial"
-
-    # items in two factors add their per-factor terms
-    v = screen_nontrivial_ssgp(
-        ReductivePair((sl(3), sl(3)), 0, (HItem("diag", None, (0, 1), sl(3)),)))
-    assert v.index_values == (("diag(sl(3))@1,2", 1),)
-    v = screen_nontrivial_ssgp(ReductivePair(
-        (sp(6), sl(2)), 0, (HItem("sp", 4, (0,)), HItem("bridge", None, (0, 1)))))
-    assert v.index_values == (("sp(4)", Q(1, 3)), ("bridge@1,2", 2))
-
-    # index not computable: named with the offending ideal
-    v = screen_nontrivial_ssgp(ReductivePair((sp(8),), 0, (HItem("sl", 4, (0,)),)))
-    assert v.kind == "unknown" and "sl(4)" in v.detail
 
 
 def test_k_monotonicity_over_all_catalog_embeddings():

@@ -334,7 +334,7 @@ PRODUCTIONS = [
     "sl(5)+center(1)/sl(3)+z=[z0(1)+3/2*pi_v(2)@1;-2*z0(1)]",
     "sl(5)+sl(5)/sl(3) in 1+sl(3) in 2+z=[pi_v(2)@1;pi_v(2)@2]",
 ]
-NEW_REFUSALS = r"(second|zero) central part z=\[\.\.\.\]"
+NEW_REFUSALS = r"(second|zero) central part z=\[\.\.\.\]|'in [^']*' names a factor twice"
 ALPHABET = "()[]+/,;*@=-:._ 0123456789abcdeglnoprstvzABCDEFGT\t\n" + "\u0663\u017f\u0130\u00b2"
 CHUNKS = [" in ", "sl(", "sp(", "so(", "center(", "z=[", "pi_v(", "z0(", "diag(", "bridge",
           "T1.4:", "T1.6:", "@2", "3/2*", "0*", "1/0*", ",", "+", ";", "/", "9" * 4400]
@@ -411,9 +411,10 @@ def test_fuzzed_texts_agree_with_the_reference(fuzzed):
         except PairSyntaxError as exc:
             assert 0 <= exc.offset <= len(text), (text, exc)
             new = "refused"
-            # the two refusals the reference lacked: a second central part
-            # (it kept the last one) and a zero one (it built a 0-dim center,
-            # which the pair model now refuses as well)
+            # the refusals the reference lacked: a second central part (it
+            # kept the last one), a zero one (it built a 0-dim center, which
+            # the pair model now refuses as well) and an 'in' clause naming
+            # one factor twice (it built an item the tables never match)
             if reference != "refused" and re.match(NEW_REFUSALS, str(exc)):
                 continue
         # anything else, a CartanError included, escapes: the CLI catches
@@ -445,6 +446,22 @@ def test_second_or_zero_central_part_is_refused():
             # the former parser built a 0-dim center, which the pair model refuses
             with pytest.raises(ConstraintError, match="zero central part; leave the center out"):
                 ReferenceParser(text).parse()
+
+
+def test_factor_named_twice_is_refused():
+    for text, message in [
+        ("sp(4)+sp(4)/bridge in 1,1", "'in 1,1' names a factor twice"),
+        ("sl(3)+sl(3)/diag(sl(3)) in 1,1", "'in 1,1' names a factor twice"),
+        ("sl(3)+sl(3)/diag(sl(3)) in 2, 2", "'in 2, 2' names a factor twice"),
+    ]:
+        with pytest.raises(PairSyntaxError, match=message) as err:
+            parse_pair(text)
+        assert err.value.offset == 12, text
+        assert re.match(NEW_REFUSALS, str(err.value)), text
+        ReferenceParser(text).parse()     # the former parser accepted it
+        # the engine then refused it as outside the tables (exit 2); now it is
+        # an input error
+        assert cmd_compute(text, out=io.StringIO()) == 1
 
 
 def test_compute_exits_0_1_or_2_on_fuzzed_texts(fuzzed):

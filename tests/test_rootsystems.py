@@ -109,19 +109,6 @@ def test_weight_coroot_duality_everywhere():
                 assert rs.pairing(w, a) == (1 if i == j else 0)
 
 
-def test_form_normalization():
-    # the normalized form gives every long dual root squared norm 2:
-    # with form = scale * dot and coroot 2a/form(a,a), the coroot norm is
-    # 4 / form(a,a)
-    for t in ALL_SAMPLE_TYPES:
-        rs = build_root_system(t)
-        long_sq = max(dot(r, r) for r in rs.roots)
-        for r in rs.roots:
-            if dot(r, r) == long_sq:
-                form_rr = rs.form_scale * dot(r, r)
-                assert 4 / form_rr == 2
-
-
 def test_k_values_small():
     assert k_value(build_root_system(SimpleType("A", 2))) == 12
     assert k_value(build_root_system(SimpleType("G", 2))) == 16
