@@ -41,13 +41,14 @@ from .ratlinalg import (
 )
 from .rootsystems import (
     AMBIENT_CEILING,
+    CLASSICAL,
+    EXCEPTIONAL,
     SimpleType,
+    algebra,
     build_root_system,
     dual_weight_permutation,
     k_value,
-    sl,
-    so,
-    sp,
+    size_dim,
     weyl_dim,
 )
 
@@ -60,9 +61,6 @@ TABLE_FILES = {
     "T3.7": "t37.tbl",
     "T4.8": "t48.tbl",
 }
-
-EXCEPTIONAL_TOKENS = {"G2": ("G", 2), "F4": ("F", 4), "E6": ("E", 6), "E7": ("E", 7), "E8": ("E", 8)}
-
 
 # ---------------------------------------------------------------------------
 # record parsing
@@ -117,29 +115,21 @@ _TYPE_PAT = re.compile(r"([A-Za-z]\w*)(?:\(([^()]*)\))?$")
 class TypePattern:
     """A parameterized simple-type expression such as so(4*n+2) or X(r)."""
 
-    base: str  # 'sl' | 'so' | 'sp' | rank-form series letter | 'X' | exceptional token
+    base: str  # 'sl' | 'so' | 'sp' | rank-form series letter | 'X' | exceptional name
     arg: str | None
 
     def resolve(self, params: dict) -> SimpleType:
-        if self.base in EXCEPTIONAL_TOKENS:
-            s, r = EXCEPTIONAL_TOKENS[self.base]
-            return SimpleType(s, r)
         if self.base == "X":
+            # the series parameter names a series letter, never a matrix name
             series = params.get("s")
             if not isinstance(series, str):
                 raise ConstraintError("pattern X(...) needs a series parameter 's'")
             return SimpleType(series, exprs.evaluate_int(self.arg, params))
-        n = exprs.evaluate_int(self.arg, params)
-        if self.base == "sl":
-            return sl(n)
-        if self.base == "so":
-            return so(n)
-        if self.base == "sp":
-            return sp(n)
-        return SimpleType(self.base, n)
+        return algebra(self.base, None if self.arg is None
+                       else exprs.evaluate_int(self.arg, params))
 
 
-_TYPE_BASES = {"sl", "so", "sp", "A", "B", "C", "D", "X"} | set(EXCEPTIONAL_TOKENS)
+_TYPE_BASES = {"sl", "so", "sp", "A", "B", "C", "D", "X"} | set(EXCEPTIONAL)
 
 
 def parse_type_pattern(text: str, bases=_TYPE_BASES) -> TypePattern:
@@ -149,7 +139,7 @@ def parse_type_pattern(text: str, bases=_TYPE_BASES) -> TypePattern:
     base, arg = m.groups()
     if base not in bases:
         raise TableFormatError(f"unknown type pattern base {base!r}")
-    if (arg is None) != (base in EXCEPTIONAL_TOKENS):  # only the exceptional types take none
+    if (arg is None) != (base in EXCEPTIONAL):  # only the exceptional types take none
         raise TableFormatError(f"bad argument in type pattern {text.strip()!r}")
     if arg is not None:
         exprs.syntax_check(arg)
@@ -189,32 +179,11 @@ def parse_h_pattern(text: str) -> tuple[ItemPattern, ...]:
     return tuple(items)
 
 
-def size_dim(base: str, size: int) -> int:
-    """Dimension of the named algebra of the given matrix size."""
-    if base == "sl":
-        return size * size - 1
-    if base in ("so", "spin"):
-        return size * (size - 1) // 2
-    if base == "sp":
-        if size % 2:
-            raise ConstraintError(f"sp({size}) needs an even size")
-        return size * (size + 1) // 2
-    raise TableFormatError(f"no size-based dimension for {base!r}")
-
-
-def size_type(base: str, size: int) -> SimpleType:
-    """SimpleType of the named algebra (handles the small coincidences)."""
-    if base == "sl":
-        return sl(size)
-    if base in ("so", "spin"):
-        if size == 3:
-            return SimpleType("A", 1)
-        return so(size)
-    if base == "sp":
-        if size == 2:
-            return SimpleType("A", 1)
-        return sp(size)
-    raise TableFormatError(f"no size-based type for {base!r}")
+def size_type(base: str, size: int | None) -> SimpleType:
+    """SimpleType of a named algebra (`algebra`), with so(3) = sl(2)."""
+    if base == "so" and size == 3:
+        return SimpleType("A", 1)
+    return algebra(base, size)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +340,7 @@ def _flag(text: str) -> bool:
     return text == "true"
 
 
-_NORM_BASES = {"sl", "so", "sp"} | set(EXCEPTIONAL_TOKENS)
+_NORM_BASES = {"sl", "so", "sp"} | set(EXCEPTIONAL)
 
 
 def _parse_norm(text: str) -> tuple[TypePattern, ...]:
@@ -644,11 +613,7 @@ class HItem:
     def dim(self) -> int:
         if self.base in ("sl", "so", "sp", "spin"):
             return size_dim("so" if self.base == "spin" else self.base, self.size)
-        if self.base == "diag":
-            return self.diag_type.dim
-        if self.base in ("bridge", "sl2long"):
-            return 3
-        return {"g2": 14, "f4": 52, "e6": 78, "e7": 133}[self.base]
+        return self.simple_type.dim
 
     @property
     def simple_type(self) -> SimpleType:
@@ -659,14 +624,13 @@ class HItem:
             return self.diag_type
         if self.base in ("bridge", "sl2long"):
             return SimpleType("A", 1)
-        return {"g2": SimpleType("G", 2), "f4": SimpleType("F", 4),
-                "e6": SimpleType("E", 6), "e7": SimpleType("E", 7)}[self.base]
+        return algebra(self.base.upper())
 
     def describe(self) -> str:
         if self.base in ("sl", "so", "sp", "spin"):
             name = f"{self.base}({self.size})"
         elif self.base == "diag":
-            name = f"diag({classical_name(self.diag_type)})"
+            name = f"diag({self.diag_type.name})"
         else:
             name = self.base
         if len(self.targets) > 1 or self.targets != (0,):
@@ -743,21 +707,10 @@ class ReductivePair:
         return self.rank_g + self.center_dim
 
     def describe_g(self) -> str:
-        parts = [classical_name(t) for t in self.factors]
+        parts = [t.name for t in self.factors]
         if self.center_dim:
             parts.append(f"center({self.center_dim})")
         return "+".join(parts)
-
-
-def classical_name(t: SimpleType) -> str:
-    n = t.classical_size
-    if t.series == "A":
-        return f"sl({n})"
-    if t.series in ("B", "D"):
-        return f"so({n})"
-    if t.series == "C":
-        return f"sp({n})"
-    return f"{t.series}{t.rank}"
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +895,6 @@ def instantiate(entry: CatalogEntry, params: dict) -> RowInstance:
         if "cut" in entry.aux:
             cut = instantiate_cut(entry.aux["cut"], params, rank)
             sat_sp = annihilator_preimage(full_sp, zero_space(rank), [LinearFunctional(cut)])
-            aux["cut"] = cut
         else:
             sat_sp = span(instantiate_weight_groups(entry.aux["sat"], params, g_types), rank)
         aux.update(
@@ -990,27 +942,20 @@ def solve_alpha(inst: RowInstance) -> Vector:
 
 @dataclass(frozen=True)
 class NormFactor:
-    base: str          # 'sl' | 'so' | 'sp' | exceptional token
+    base: str          # 'sl' | 'so' | 'sp' | exceptional name
     size: int | None   # matrix size for the classical bases
 
     @property
     def dim(self) -> int:
         if self.size is not None:
             return size_dim(self.base, self.size)
-        s, r = EXCEPTIONAL_TOKENS[self.base]
-        return SimpleType(s, r).dim
+        return algebra(self.base).dim
 
     @property
     def tau_dim(self) -> int:
         if self.size is None:
             raise TableFormatError(f"no tautological module size for {self.base!r}")
         return self.size
-
-    def root_system(self):
-        if self.size is not None:
-            return build_root_system(size_type(self.base, self.size))
-        s, r = EXCEPTIONAL_TOKENS[self.base]
-        return build_root_system(SimpleType(s, r))
 
 
 def _instantiate_norm(patterns, params: dict) -> tuple[tuple[NormFactor, ...], int]:
@@ -1031,7 +976,7 @@ def _module_dim(terms, simple: Sequence[NormFactor]) -> int:
         elif kind in ("w2", "w2s"):
             dim *= f.tau_dim * (f.tau_dim - 1) // 2
         else:
-            rs = f.root_system()
+            rs = build_root_system(size_type(f.base, f.size))
             if hw > rs.rank:
                 name = f.base if f.size is None else f"{f.base}({f.size})"
                 raise TableFormatError(f"module term rep({factor},{hw}) names fundamental "
@@ -1049,8 +994,11 @@ def _module_dim(terms, simple: Sequence[NormFactor]) -> int:
 _SERIES_ORDER = ["A", "B", "C", "D", "E", "F", "G"]
 
 # (a, b): the largest argument of a pattern base whose algebra has rank at
-# most R is a*R + b -- sl(R+1), so(2R+1), sp(2R); rank forms and X(r) take R
-_MAX_SIZE = {"sl": (1, 1), "so": (2, 1), "spin": (2, 1), "sp": (2, 0)}
+# most R is a*R + b, the largest over the series of that name -- sl(R+1),
+# so(2R+1), sp(2R); spin is so, and rank forms and X(r) take R
+_MAX_SIZE = {name: max((a, b) for other, a, b in CLASSICAL.values() if other == name)
+             for name, _, _ in CLASSICAL.values()}
+_MAX_SIZE["spin"] = _MAX_SIZE["so"]
 
 # minimal_params looks no higher than this rank
 _MINIMAL_RANK = 40

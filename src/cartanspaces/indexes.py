@@ -23,12 +23,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConstraintError
-from .rootsystems import SimpleType, build_root_system, k_value
+from .rootsystems import CLASSICAL, SimpleType, build_root_system, k_value
 
 if TYPE_CHECKING:  # catalog imports this module
     from .catalog import HItem
 
-# Unit-index embeddings by (ambient surface, item base); the classical part
+# Unit-index embeddings by (ambient matrix name, item base); the classical part
 # mirrors table T3.4, the orthogonal trace doubling gives so-in-sl index 2.
 _CLASSICAL_INDEX = {
     ("sl", "sl"): 1,
@@ -43,39 +43,27 @@ _CLASSICAL_INDEX = {
     ("sp", "sl"): 1,  # only the two-by-two block, size 2
 }
 
-# Exceptional ambient: allowed item bases/sizes, all of index 1.
+# Exceptional ambient by name: allowed item bases/sizes, all of index 1.
 _EXCEPTIONAL_INDEX = {
-    ("G", 2): {("sl", 3), ("sl2long", None)},
-    ("F", 4): {("so", 9), ("so", 8), ("so", 7)},
-    ("E", 6): {("f4", None), ("so", 10), ("so", 9), ("so", 8), ("sl", 6)},
-    ("E", 7): {("e6", None), ("so", 12), ("so", 11), ("f4", None)},
-    ("E", 8): {("e7", None)},
+    "G2": {("sl", 3), ("sl2long", None)},
+    "F4": {("so", 9), ("so", 8), ("so", 7)},
+    "E6": {("f4", None), ("so", 10), ("so", 9), ("so", 8), ("sl", 6)},
+    "E7": {("e6", None), ("so", 12), ("so", 11), ("f4", None)},
+    "E8": {("e7", None)},
 }
-
-
-def _surface(t: SimpleType) -> str:
-    return {"A": "sl", "B": "so", "C": "sp", "D": "so"}.get(t.series, t.series)
 
 
 def per_factor_index(item: HItem, g_type: SimpleType) -> int:
     """Dynkin index of one item into one ambient factor."""
     if item.base in ("diag", "bridge"):
         return 1
-    surf = _surface(g_type)
-    if surf in ("sl", "so", "sp"):
-        key = (surf, item.base)
-        if key not in _CLASSICAL_INDEX:
-            raise ConstraintError(
-                f"unsupported embedding shape: {item.describe()} inside {g_type}")
-        if surf == "sp" and item.base == "sl" and item.size != 2:
-            raise ConstraintError(
-                f"unsupported embedding shape: sl({item.size}) inside {g_type}")
-        return _CLASSICAL_INDEX[key]
-    allowed = _EXCEPTIONAL_INDEX.get((g_type.series, g_type.rank), set())
-    if (item.base, item.size) in allowed or (item.base, None) in allowed and item.size is None:
+    if g_type.series in CLASSICAL:
+        key = (CLASSICAL[g_type.series][0], item.base)
+        if key in _CLASSICAL_INDEX and (key != ("sp", "sl") or item.size == 2):
+            return _CLASSICAL_INDEX[key]
+    elif (item.base, item.size) in _EXCEPTIONAL_INDEX[str(g_type)]:
         return 1
-    raise ConstraintError(
-        f"unsupported embedding shape: {item.describe()} inside {g_type}")
+    raise ConstraintError(f"unsupported embedding shape: {item.describe()} inside {g_type}")
 
 
 def dynkin_index_of(item: HItem, g_types: Sequence[SimpleType]) -> int:

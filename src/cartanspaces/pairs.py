@@ -15,16 +15,16 @@
     zrow     := zterm ("+" zterm)*
     zterm    := [RATIONAL "*" | "-"] ( "pi_v(" I ")" ["@" F] | "z0(" J ")" )
 
-Classical names are sizes, not ranks: `sl(6)` is the rank-5 algebra.  An
-item without `in` lives in the only factor (or, for `diag` and `bridge`,
-in the only two); `in` names distinct factors by 1-based position, or one
-factor by its type when that type occurs once.  A table reference stands
-for the items of that T1.4 or T1.6 row, on the factors of the row's types
-in order unless `in` lists their positions.  `pi_v(I)` is the
-distinguished central generator of a family item (the index must match the
-item's stored generator; `@F` names the factor when several extend
-centrally); `z0(J)` is the J-th central coordinate of the ambient algebra.
-A pair has at most one central part, and it is not zero.
+Classical names are sizes, not ranks (`rootsystems.CLASSICAL`): `sl(6)` is
+the rank-5 algebra.  An item without `in` lives in the only factor (or, for
+`diag` and `bridge`, in the only two); `in` names distinct factors by
+1-based position, or one factor by its type when that type occurs once.  A
+table reference stands for the items of that T1.4 or T1.6 row, on the
+factors of the row's types in order unless `in` lists their positions.
+`pi_v(I)` is the distinguished central generator of a family item (the
+index must match the item's stored generator; `@F` names the factor when
+several extend centrally); `z0(J)` is the J-th central coordinate of the
+ambient algebra.  A pair has at most one central part, and it is not zero.
 
 Every input error is a `PairSyntaxError` carrying the offset of the piece
 at fault.  Besides the rank ceiling of each factor, the weight ambient
@@ -40,7 +40,7 @@ from . import catalog as cat
 from .catalog import HItem, ReductivePair, instantiate
 from .errors import CartanError, ConstraintError, PairSyntaxError
 from .ratlinalg import RationalSubspace, span
-from .rootsystems import SimpleType, sl, so, sp
+from .rootsystems import CLASSICAL, SimpleType, algebra
 
 # one pattern per production
 _FACTOR = re.compile(r"(sl|so|sp|[A-G])\((\d+)\)|([EFG])(\d)")
@@ -54,10 +54,6 @@ _NAMED = re.compile(r"((?ai:g2|f4|e6|e7|sl2long))|((?ai:spin|sl|so|sp))\((\d+)\)
                     r"|([ABCD])(\d+|\(\d+\))")
 _ZTERM = re.compile(r"(?:(-?\d+(?:/\d+)?)\s*\*\s*|(-)\s*)?"
                     r"(?:z0\((\d+)\)|pi_v\((\d+)\)(?:@(\d+))?)")
-
-_CLASSICAL = {"sl": sl, "so": so, "sp": sp}
-# series letter -> (item base, size per rank, size shift)
-_SERIES_SIZE = {"A": ("sl", 1, 1), "B": ("so", 2, 1), "C": ("sp", 2, 0), "D": ("so", 2, 0)}
 
 
 def _pieces(text: str, start: int, end: int, sep: str) -> list[tuple[str, int]]:
@@ -142,9 +138,8 @@ class _Parser:
         m = _FACTOR.fullmatch(token)
         if not m:
             self.err(at, f"bad algebra factor {token!r}")
-        name, size = m[1] or m[3], self.number(at, m[2] or m[4])
         try:
-            return _CLASSICAL[name](size) if name in _CLASSICAL else SimpleType(name, size)
+            return algebra(m[1] or m[3], self.number(at, m[2] or m[4]))
         except ConstraintError as exc:
             self.err(at, str(exc))
 
@@ -171,7 +166,7 @@ class _Parser:
         elif m[2]:
             base, size = m[2].lower(), self.number(at, m[3])
         else:
-            base, step, shift = _SERIES_SIZE[m[4]]
+            base, step, shift = CLASSICAL[m[4]]
             size = step * self.number(at, m[5].strip("()")) + shift
         target = self.targets(sel, at, 1)
         try:
@@ -188,9 +183,14 @@ class _Parser:
             pm = _ROW_PARAM.fullmatch(piece)
             if not pm:
                 self.err(at, f"bad row parameter {piece!r}")
+            if pm[1] in params:
+                self.err(at, f"parameter {pm[1]!r} given twice")
             params[pm[1]] = self.number(at, pm[2]) if pm[2].isdigit() else pm[2]
         try:
             entry = cat.lookup(table, row)
+            for name in params:
+                if name not in entry.variables:
+                    raise ConstraintError(f"{entry.row_id} has no parameter {name!r}")
             inst = instantiate(entry, params)
         except CartanError as exc:
             self.err(at, str(exc))

@@ -12,6 +12,10 @@ coincides with the Bourbaki numbering; for F4 it is the reversal, and for
 E6/E7/E8 the long arm of the diagram is numbered first, ending with the
 branch node.  `vo_to_bourbaki` gives the relabeling, and the unit tests pin
 it through the adjoint highest weight of every type.
+
+The naming table of the simple algebras lives here, and every other module
+reads it: `CLASSICAL`, `EXCEPTIONAL`, `size_dim`, `SimpleType.name` and
+`algebra`, which maps a name back to its type.
 """
 
 from __future__ import annotations
@@ -40,6 +44,25 @@ RANK_CEILING = 128
 AMBIENT_CEILING = 4 * RANK_CEILING
 
 
+# The rank-r algebra of series S is NAME(a*r + b) for CLASSICAL[S] = (NAME, a, b):
+# sl(r+1), so(2r+1), sp(2r), so(2r) (Bourbaki, Lie Groups, ch. VI, plates I-IV).
+CLASSICAL = {"A": ("sl", 1, 1), "B": ("so", 2, 1), "C": ("sp", 2, 0), "D": ("so", 2, 0)}
+# The exceptional algebras: name (the `str` of the type) and dimension.
+EXCEPTIONAL = {"G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248}
+
+
+def size_dim(name: str, n: int) -> int:
+    """Dimension of sl(n), so(n) or sp(n).  It holds for every n, also where
+    the algebra is not simple: normalizers reach so(1) to so(4)."""
+    if name == "sl":
+        return n * n - 1
+    if name == "so":
+        return n * (n - 1) // 2
+    if n % 2:
+        raise ConstraintError(f"sp({n}) needs an even size")
+    return n * (n + 1) // 2
+
+
 @dataclass(frozen=True)
 class SimpleType:
     """A simple Lie algebra type: series letter plus rank."""
@@ -63,33 +86,22 @@ class SimpleType:
     @property
     def dim(self) -> int:
         """Dimension of the Lie algebra."""
-        l = self.rank
-        if self.series == "A":
-            return l * (l + 2)
-        if self.series == "B":
-            return l * (2 * l + 1)
-        if self.series == "C":
-            return l * (2 * l + 1)
-        if self.series == "D":
-            return l * (2 * l - 1)
-        if self.series == "E":
-            return {6: 78, 7: 133, 8: 248}[l]
-        if self.series == "F":
-            return 52
-        return 14  # G2
+        n = self.classical_size
+        return EXCEPTIONAL[str(self)] if n is None else size_dim(CLASSICAL[self.series][0], n)
 
     @property
     def classical_size(self) -> int | None:
         """n for sl(n)/so(n)/sp(n) descriptions, None for exceptional types."""
-        if self.series == "A":
-            return self.rank + 1
-        if self.series == "B":
-            return 2 * self.rank + 1
-        if self.series == "C":
-            return 2 * self.rank
-        if self.series == "D":
-            return 2 * self.rank
-        return None
+        if self.series not in CLASSICAL:
+            return None
+        _, a, b = CLASSICAL[self.series]
+        return a * self.rank + b
+
+    @property
+    def name(self) -> str:
+        """sl(6), so(9), sp(4) for a classical type, E6 for an exceptional one."""
+        n = self.classical_size
+        return str(self) if n is None else f"{CLASSICAL[self.series][0]}({n})"
 
 
 def sl(n: int) -> SimpleType:
@@ -111,6 +123,19 @@ def sp(n: int) -> SimpleType:
             return SimpleType("A", 1)
         raise ConstraintError(f"sp({n}) requires even n >= 4 (or n = 2)")
     return SimpleType("C", n // 2)
+
+
+_MATRIX = {"sl": sl, "so": so, "sp": sp}
+
+
+def algebra(name: str, n: int | None = None) -> SimpleType:
+    """The type of a matrix name and size (`sl`, 6), of a series letter and
+    rank (`A`, 5) or of an exceptional name (`E6`)."""
+    if name in _MATRIX:
+        return _MATRIX[name](n)
+    if name in EXCEPTIONAL:
+        return SimpleType(name[0], int(name[1:]))
+    return SimpleType(name, n)
 
 
 def _basic(m: int, entries: dict[int, int]) -> tuple[int, ...]:
@@ -158,7 +183,7 @@ def _simple_roots(t: SimpleType) -> tuple[int, list[tuple[int, ...]]]:
             (0, 0, 2, -2),
             (0, 2, -2, 0),
         ]
-    # E series, realized inside Q^8 (doubled).
+    # E series, realized inside Q^8 (doubled); b is keyed by Bourbaki label.
     b = {
         1: (1, -1, -1, -1, -1, -1, -1, 1),
         2: _basic(8, {0: 2, 1: 2}),
@@ -169,8 +194,7 @@ def _simple_roots(t: SimpleType) -> tuple[int, list[tuple[int, ...]]]:
         7: _basic(8, {4: -2, 5: 2}),
         8: _basic(8, {5: -2, 6: 2}),
     }
-    order = {6: [1, 3, 4, 5, 6, 2], 7: [7, 6, 5, 4, 3, 1, 2], 8: [8, 7, 6, 5, 4, 3, 1, 2]}[l]
-    return 8, [b[i] for i in order]
+    return 8, [b[i] for i in VO_TO_BOURBAKI[("E", l)]]
 
 
 VO_TO_BOURBAKI = {

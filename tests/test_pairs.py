@@ -464,6 +464,20 @@ def test_factor_named_twice_is_refused():
         assert cmd_compute(text, out=io.StringIO()) == 1
 
 
+def test_row_parameter_not_in_the_row_or_given_twice_is_refused():
+    for text, message in [
+        ("sl(5)/T1.4:1(n=5,k=4,j=2)", "T1.4:1 has no parameter 'j'"),
+        ("sl(5)/T1.4:1(n=5,k=4,s=B)", "T1.4:1 has no parameter 's'"),
+        ("sl(5)/T1.4:1(n=5,k=4,k=3)", "parameter 'k' given twice"),
+    ]:
+        with pytest.raises(PairSyntaxError, match=message) as err:
+            parse_pair(text)
+        assert err.value.offset == 6, text
+        # the former parser ignored the extra parameter, or kept the last value
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cmd_compute(text, out=io.StringIO()) == 1
+
+
 def test_compute_exits_0_1_or_2_on_fuzzed_texts(fuzzed):
     rng = random.Random(7)
     codes = set()

@@ -1,13 +1,19 @@
+import re
 from fractions import Fraction as Q
 from itertools import combinations, product
 
 import pytest
 
-from cartanspaces.errors import ConstraintError
+from cartanspaces import rootsystems
+from cartanspaces.catalog import HItem
+from cartanspaces.errors import ConstraintError, PairSyntaxError
+from cartanspaces.pairs import parse_pair
 from cartanspaces.ratlinalg import dot
 from cartanspaces.rootsystems import (
     RANK_CEILING,
+    SERIES_MIN_RANK,
     SimpleType,
+    algebra,
     build_root_system,
     diagram_automorphisms,
     dual_weight_permutation,
@@ -51,6 +57,50 @@ def test_simple_type_constraints():
         sl(RANK_CEILING + 2)
     with pytest.raises(ConstraintError):
         SimpleType("A", 10**9)
+
+
+# dimensions in closed form (Bourbaki, plates I-IX)
+CLOSED_DIM = {"A": lambda l: l * (l + 2), "B": lambda l: l * (2 * l + 1),
+              "C": lambda l: l * (2 * l + 1), "D": lambda l: l * (2 * l - 1)}
+EXCEPTIONAL_DIM = {"G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248}
+
+
+def _naming_mismatches() -> list:
+    """Where the naming table disagrees with the standard names: every
+    classical type up to rank 12 and at the ceiling, the exceptional types,
+    and series-letter items against their size names."""
+    types = [SimpleType(s, r) for s in "ABCD"
+             for r in [*range(SERIES_MIN_RANK[s], 13), RANK_CEILING]]
+    types += [SimpleType(name[0], int(name[1])) for name in EXCEPTIONAL_DIM]
+    out = []
+    for t in types:
+        m = re.fullmatch(r"(\w+)\((\d+)\)|(\w+)", t.name)
+        named = algebra(m[1], int(m[2])) if m[1] else algebra(m[3])
+        want = EXCEPTIONAL_DIM.get(str(t)) or CLOSED_DIM[t.series](t.rank)
+        if named != t or t.dim != want:
+            out.append((t, t.name, named, t.dim, want))
+    for factor, letter, base, size in [("sl(6)", "A3", "sl", 4), ("so(12)", "B4", "so", 9),
+                                       ("sp(8)", "C3", "sp", 6), ("so(12)", "D5", "so", 10)]:
+        items = parse_pair(f"{factor}/{letter}").items
+        if not items == parse_pair(f"{factor}/{base}({size})").items == (HItem(base, size, (0,)),):
+            out.append((letter, items))
+    return out
+
+
+def test_one_naming_table():
+    assert _naming_mismatches() == []
+
+
+def test_naming_check_catches_a_wrong_series_entry(monkeypatch):
+    monkeypatch.setitem(rootsystems.CLASSICAL, "D", ("so", 2, 1))
+    assert _naming_mismatches() != []
+
+
+def test_series_parameter_is_not_a_matrix_name():
+    # X(r) takes a series letter; a matrix name there is an unknown series
+    with pytest.raises(PairSyntaxError, match="unknown series 'sl'"):
+        parse_pair("sl(3)+sl(3)/T1.4:25(r=3,s=sl)")
+    assert parse_pair("sl(3)+sl(3)/T1.4:25(r=2,s=A)").factors == (sl(3), sl(3))
 
 
 def test_a2_basics():
