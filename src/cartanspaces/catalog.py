@@ -588,7 +588,8 @@ class HItem:
 
     `base` and `size` are the surface description (sl/so/sp/spin with the
     matrix size, or g2/f4/e6/e7/diag/bridge/sl2long); `targets` are the
-    indices of the ambient factors it lives in (two for diag and bridge).
+    indices of the ambient factors it lives in: two for diag and bridge, one
+    otherwise.  A diag item carries its type.
     """
 
     base: str
@@ -598,6 +599,12 @@ class HItem:
 
     def __post_init__(self):
         b, n = self.base, self.size
+        two = b in ("diag", "bridge")
+        if len(self.targets) != 1 + two:
+            raise ConstraintError(f"{b} lives in {'two factors' if two else 'one factor'}, "
+                                  f"not {len(self.targets)}")
+        if b == "diag" and self.diag_type is None:
+            raise ConstraintError("diag needs its type")
         if b in ("sl", "so", "sp", "spin") and not isinstance(n, int):
             raise ConstraintError(f"{b} needs an integer size, got {n!r}")
         if b == "sp" and (n % 2 or n < 2):
@@ -645,7 +652,9 @@ class ReductivePair:
     The central subspace, when present, lives in coordinates
     [z(g) coordinates..., one coordinate per extendable factor in factor
     order], where a factor is extendable when its items form an extension
-    family with a one-dimensional centralizer center (see `family_slots`).
+    family with a one-dimensional centralizer center (see `families`).
+    Construction refuses an item that targets a missing factor, or a diag
+    item whose type is not that of its factors.
     """
 
     factors: tuple[SimpleType, ...]
@@ -662,10 +671,13 @@ class ReductivePair:
             for t in item.targets:
                 if not (0 <= t < len(self.factors)):
                     raise ConstraintError(f"item {item.describe()} targets missing factor {t + 1}")
+                if item.base == "diag" and self.factors[t] != item.diag_type:
+                    raise ConstraintError(
+                        f"item {item.describe()} targets factor {t + 1} of type {self.factors[t]}")
         if self.center is not None:
             if self.center.dim == 0:
                 raise ConstraintError("zero central part; leave the center out")
-            expected = self.center_dim + len(self.family_slots())
+            expected = self.center_dim + len(self.families)
             if self.center.ambient_dim != expected:
                 raise DimensionError(
                     f"central subspace ambient {self.center.ambient_dim}, expected {expected}"
@@ -674,20 +686,18 @@ class ReductivePair:
     def items_on_factor(self, f: int) -> tuple[HItem, ...]:
         return tuple(it for it in self.items if it.targets == (f,))
 
-    def family_slots(self) -> tuple[int, ...]:
-        """Factor indices admitting a one-dimensional central extension.
+    @cached_property
+    def families(self) -> dict[int, RowInstance]:
+        """Each factor admitting a one-dimensional central extension, in factor
+        order, with its T1.6 row instance.
 
         A factor owns a central coordinate exactly when the items living on
         it (and only on it) form a central-extension family row.
         """
-        slots = []
-        for f in range(len(self.factors)):
-            if any(len(it.targets) > 1 and f in it.targets for it in self.items):
-                continue
-            local = self.items_on_factor(f)
-            if local and family_row_for_factor(self.factors[f], local) is not None:
-                slots.append(f)
-        return tuple(slots)
+        crossed = {t for it in self.items if len(it.targets) > 1 for t in it.targets}
+        rows = {f: family_row_for_factor(t, local) for f, t in enumerate(self.factors)
+                if f not in crossed and (local := self.items_on_factor(f))}
+        return {f: inst for f, inst in rows.items() if inst is not None}
 
     @property
     def dim_g(self) -> int:
@@ -767,8 +777,7 @@ def _candidates(entry: CatalogEntry, g_types: Sequence[SimpleType], items: Seque
     Yields (params, factor_map, violated) for every assignment whose g
     pattern and item multiset match the concrete factors and items, in
     permutation order; `violated` is the first constraint the parameters
-    break, or None.  Violation-free candidates that fail the diagonal-type
-    check are skipped.
+    break, or None.
     """
     npos = len(entry.g_pattern)
     if len(g_types) != npos:
@@ -792,13 +801,7 @@ def _candidates(entry: CatalogEntry, g_types: Sequence[SimpleType], items: Seque
             )
             if want != have:
                 continue
-            violated = entry.violated(params)
-            if violated is None and entry.h_pattern and entry.h_pattern[0].base == "diag":
-                # the diagonal item's type must be the common factor type
-                diag_items = [it for it in items if it.base == "diag"]
-                if not diag_items or diag_items[0].diag_type != typed[0]:
-                    continue
-            yield params, perm, violated
+            yield params, perm, entry.violated(params)
 
 
 def match_row(
@@ -840,10 +843,6 @@ def match_t14(g_types: Sequence[SimpleType], items: Sequence[HItem]):
 def family_row_for_factor(g_type: SimpleType, items: Sequence[HItem]) -> RowInstance | None:
     """The central-extension family row covering one factor's items, if any,
     instantiated at the matched parameters (cached by the catalog)."""
-    if not items or any(len(it.targets) != 1 for it in items):
-        return None
-    if any(it.base in ("diag", "bridge") for it in items):
-        return None
     local = tuple(sorted((_retarget(it, (0,)) for it in items),
                          key=lambda it: (it.base, it.size or 0)))
     return get_catalog().family_row(g_type, local)
@@ -871,6 +870,13 @@ class RowInstance:
     @property
     def ambient(self) -> int:
         return sum(t.rank for t in self.g_types)
+
+    @cached_property
+    def pair(self) -> ReductivePair:
+        """The pair a T1.4 or T1.6 instance spells; a T1.6 instance gets its
+        one-dimensional central part."""
+        center = span([[1]], 1) if self.entry.table == "T1.6" else None
+        return ReductivePair(self.g_types, 0, self.items, center)
 
 
 def instantiate(entry: CatalogEntry, params: dict) -> RowInstance:

@@ -18,9 +18,9 @@ import sys
 from . import catalog as cat
 from . import engine
 from .catalog import ReductivePair, get_catalog, instantiate, verify_entry
-from .errors import CartanError, ConstraintError, OutsideCatalogError, PairSyntaxError
+from .errors import (
+    CartanError, ConstraintError, OutsideCatalogError, PairSyntaxError, TableFormatError)
 from .pairs import format_pair, parse_pair
-from .ratlinalg import span
 from .rootsystems import vo_to_bourbaki
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,8 @@ def cmd_verify(target: str, out=None) -> int:
 def survey_pairs(max_rank: int):
     """All catalog-instantiable pairs with rk(g) <= max_rank, in table order,
     each answered from its row instance (`engine.row_result`); a test and the
-    benchmark's deep survey check confirm that `compute` answers the same."""
+    benchmark's deep survey check confirm that `compute` answers the same.  A
+    row that fails at an admissible parameter is a table fault."""
     if max_rank > 12:
         raise ConstraintError("survey is limited to rank 12")
     catalog = get_catalog()
@@ -163,16 +164,11 @@ def survey_pairs(max_rank: int):
         for params in cat.admissible_params(entry, max_rank):
             try:
                 inst = instantiate(entry, params)
-            except CartanError:
-                continue
-            center = span([[1]], 1) if entry.table == "T1.6" else None
-            try:
-                pair = ReductivePair(inst.g_types, 0, inst.items, center)
-                result = engine.row_result(pair, inst)
-            except CartanError:
-                continue
+                result = engine.row_result(inst)
+            except CartanError as exc:
+                raise TableFormatError(f"{entry.row_id} at {params}: {exc}") from exc
             key = (entry.table, int(entry.row), tuple(sorted(params.items())))
-            seen.append((key, pair, result))
+            seen.append((key, inst.pair, result))
     seen.sort(key=lambda x: x[0])
     return seen
 

@@ -10,15 +10,15 @@ Pipeline: the pair splits into its indecomposable summands; each summand
 becomes a standalone pair (`decompose`) whose space is computed in that
 pair's own coordinates from the table rows found for it (`_row_answer`);
 one column map (`_moved`) places it in the whole pair's ambient, where the
-space is the block sum of the summands' spaces.  `row_result` answers a
-pair whose row instance is already known, without a search.
+space is the block sum of the summands' spaces.  `row_result` answers the
+pair a row instance spells, without a search.
 
 Coordinates: a pair with factors g_1,...,g_f and a c-dimensional central
 torus uses ambient Q^(rk g_1 + ... + rk g_f + c).  The first blocks are
 fundamental-weight coordinates of the factors (VO numbering), the trailing
 block is the character space of the central torus.  Central subspaces of
 the subalgebra live in the separate coordinate space
-[z(g) coordinates, one coordinate per centrally extendable factor].
+[z(g) coordinates, one coordinate per factor in `ReductivePair.families`].
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .catalog import (
     HItem,
     ReductivePair,
     RowInstance,
-    family_row_for_factor,
     instantiate,
     match_t14,
     solve_alpha,
@@ -113,7 +112,7 @@ def _summands(pair: ReductivePair) -> list[_Summand]:
 
     rows: tuple[Vector, ...] = pair.center.basis if pair.center else ()
     # the node of each central coordinate: the torus, then each slot's factor
-    col_nodes = [znode] * pair.center_dim + list(pair.family_slots() if rows else ())
+    col_nodes = [znode] * pair.center_dim + list(pair.families if rows else ())
     row_nodes = []
     for row in rows:
         nodes = [col_nodes[j] for j, x in enumerate(row) if x]
@@ -138,9 +137,9 @@ def _central_columns(pair: ReductivePair, sub: ReductivePair, factors: Sequence[
     """The pair's central coordinate behind each central coordinate of `sub`:
     the z(g) block, then the slot of each extendable factor of `sub`, whose
     factor i is the pair's factor `factors[i]`."""
-    slots = pair.family_slots()
+    slots = list(pair.families)
     return [*range(sub.center_dim),
-            *(pair.center_dim + slots.index(factors[f]) for f in sub.family_slots())]
+            *(pair.center_dim + slots.index(factors[f]) for f in sub.families)]
 
 
 def _summand_pair(pair: ReductivePair, s: _Summand) -> ReductivePair:
@@ -277,31 +276,17 @@ def _summand_space(sub: ReductivePair,
             entry, params, factor_map = matched
             return _row_answer(sub, [instantiate(entry, params)], factor_map)
         # fallback: bare members of central-extension families
-        if all(len(it.targets) == 1 for it in sub.items):
-            fams = [family_row_for_factor(t, sub.items_on_factor(f))
-                    for f, t in enumerate(sub.factors)]
-            if None not in fams:
-                return _row_answer(sub, fams)
+        if len(sub.families) == len(sub.factors):
+            return _row_answer(sub, list(sub.families.values()))
         detail = near_miss or "no classification row matches"
         raise OutsideCatalogError(
             "summand (" + "+".join(map(str, sub.factors))
             + " / " + (" + ".join(names) or "0")
             + f") is outside the encoded tables: {detail}")
 
-    # non-semisimple summand
-    for it, name in zip(sub.items, names):
-        if len(it.targets) != 1:
-            raise OutsideCatalogError(
-                f"central part attached to a summand with the cross-factor item "
-                f"{name}; no table covers this")
-    fams = [family_row_for_factor(t, sub.items_on_factor(f)) for f, t in enumerate(sub.factors)]
-    if None in fams:
-        f = fams.index(None)
-        local = [name for it, name in zip(sub.items, names) if it.targets == (f,)]
-        raise OutsideCatalogError(
-            f"the ideals on factor {sub.factors[f]} (" + (" + ".join(local) or "none")
-            + ") admit no central extension in the encoded families")
-    return _row_answer(sub, fams)
+    # central rows touch only z(g) and factors with a family row, and those
+    # meet no cross-factor item, so every factor of this summand has one
+    return _row_answer(sub, list(sub.families.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +327,11 @@ def cartan_space(pair: ReductivePair) -> CartanResult:
     return _result(pair, *_assemble(pair))
 
 
-def row_result(pair: ReductivePair, inst: RowInstance) -> CartanResult:
-    """The result for the indecomposable pair a T1.4 or T1.6 row instance
-    spells (for T1.6 with a one-dimensional central part), answered from the
-    instance without a search; such a row keeps every item as essential."""
-    if (pair.factors, pair.center_dim, pair.items, "T1.6" if pair.center else "T1.4") != (
-            inst.g_types, 0, inst.items, inst.entry.table):
-        raise ConstraintError(f"the pair is not the one {inst.entry.row_id} spells")
+def row_result(inst: RowInstance) -> CartanResult:
+    """The result for `inst.pair`, the indecomposable pair a T1.4 or T1.6 row
+    instance spells, answered from the instance without a search; such a row
+    keeps every item as essential."""
+    pair = inst.pair
     vectors, _, trace = _row_answer(pair, [inst], range(len(pair.factors)))
     ess = EssentialPart(tuple(range(len(pair.items))), pair.items,
                         pair.center.basis if pair.center else ())

@@ -66,12 +66,6 @@ def _pieces(text: str, start: int, end: int, sep: str) -> list[tuple[str, int]]:
     return out
 
 
-def _zgen(pair: ReductivePair, factor: int) -> int:
-    """Index of the central generator `pi_v` of the family row on a factor."""
-    return cat.family_row_for_factor(
-        pair.factors[factor], pair.items_on_factor(factor)).aux["zgen"]
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -240,7 +234,7 @@ class _Parser:
         return targets
 
     def center(self, pair: ReductivePair, start: int, end: int) -> RationalSubspace:
-        slots = pair.family_slots()
+        slots = list(pair.families)
         ambient = pair.center_dim + len(slots)
         rows = []
         for row, row_at in _pieces(self.text, start, end, ";"):
@@ -267,7 +261,7 @@ class _Parser:
                                  "no factor admits a central extension here")
                 if factor not in slots:
                     self.err(at, f"factor {factor + 1} admits no central extension")
-                zgen = _zgen(pair, factor)
+                zgen = pair.families[factor].aux["zgen"]
                 if zgen != idx:
                     self.err(at, f"pi_v({idx}) is not the central generator on factor "
                                  f"{factor + 1} (expected pi_v({zgen}))")
@@ -292,7 +286,7 @@ def format_pair(pair: ReductivePair) -> str:
     text = pair.describe_g() + "/" + "+".join(items)
     if pair.center is not None:
         names = ([f"z0({j + 1})" for j in range(pair.center_dim)]
-                 + [f"pi_v({_zgen(pair, f)})@{f + 1}" for f in pair.family_slots()])
+                 + [f"pi_v({inst.aux['zgen']})@{f + 1}" for f, inst in pair.families.items()])
         rows = ("+".join(name if x == 1 else f"{x}*{name}" for name, x in zip(names, row) if x)
                 for row in pair.center.basis)
         text += "+z=[" + ";".join(rows) + "]"

@@ -363,16 +363,29 @@ def test_family_rows():
 
 def test_family_slots_and_pair_dims():
     pair = ReductivePair((sl(5),), 0, (HItem("sl", 3, (0,)),))
-    assert pair.family_slots() == (0,)
+    assert tuple(pair.families) == (0,)
     assert pair.dim_g == 24 and pair.dim_h == 8
     pair = ReductivePair((sl(6),), 0, (HItem("sp", 6, (0,)),))
-    assert pair.family_slots() == ()
+    assert tuple(pair.families) == ()
     assert pair.dim_h == 21
     pair = ReductivePair((sp(6), SimpleType("A", 1)), 0,
                          (HItem("sp", 4, (0,)), HItem("bridge", None, (0, 1))))
     assert pair.dim_h == 13
     with pytest.raises(ConstraintError):
         ReductivePair((sl(5),), 0, (HItem("sl", 3, (2,)),))
+
+
+def test_items_that_do_not_fit_their_factors_are_refused():
+    # each was accepted as a pair, which `cartan_space` then refused as
+    # outside the tables; now it is an input error at construction
+    with pytest.raises(ConstraintError, match="targets factor 1 of type A3"):
+        ReductivePair((sl(4), sl(4)), 0, (HItem("diag", None, (0, 1), sl(3)),))
+    for base, size, targets, dtype in [("diag", None, (0,), sl(4)), ("bridge", None, (0,), None),
+                                       ("sl", 2, (0, 1), None)]:
+        with pytest.raises(ConstraintError, match=f"{base} lives in"):
+            HItem(base, size, targets, dtype)
+    with pytest.raises(ConstraintError, match="diag needs its type"):
+        HItem("diag", None, (0, 1))
 
 
 def test_zero_central_part_is_refused():

@@ -9,7 +9,7 @@ import pytest
 
 import cartanspaces
 from cartanspaces import engine
-from cartanspaces.catalog import HItem, ReductivePair, get_catalog, instantiate
+from cartanspaces.catalog import HItem, get_catalog, instantiate
 from cartanspaces.cli import (
     cmd_compute,
     cmd_survey,
@@ -19,7 +19,7 @@ from cartanspaces.cli import (
     parse_pair,
     survey_pairs,
 )
-from cartanspaces.errors import ConstraintError, PairSyntaxError
+from cartanspaces.errors import PairSyntaxError
 from cartanspaces.rootsystems import AMBIENT_CEILING, RANK_CEILING, SimpleType, sl, so, sp
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -119,13 +119,21 @@ def test_malformed_input_exits_1_with_offset(capsys):
         # a weight ambient above the ceiling, through the center or many factors
         "sl(5)+center(100000000)/sl(3)": f"is above {AMBIENT_CEILING}",
         "+".join(["sl(128)"] * 40) + "/sl(100) in 1": f"is above {AMBIENT_CEILING}",
+        # no simple factor and no center, a missing central coordinate, and a
+        # table reference placed on a factor of another type
+        "center(0)/sl(2)": "empty algebra",
+        "sl(5)/sl(3)+z=[z0(1)]": "central coordinate z0(1) does not exist",
+        "sl(6)+sl(5)/T1.4:3(n=3) in 2": "T1.4:3 needs A5 at position 1, factor 2 is A4",
     }
+    offsets = {"center(0)/sl(2)": 0, "sl(5)/sl(3)+z=[z0(1)]": 15,
+               "sl(6)+sl(5)/T1.4:3(n=3) in 2": 12}
     for text, named in cases.items():
         assert cmd_compute(text) == 1, text
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and named in err, err
         offset = int(err.split("at offset ")[1].split(":")[0])
         assert 0 <= offset <= len(text)
+        assert offsets.get(text, offset) == offset, text
         if "ambient" in named:
             assert offset < text.index("/")
         assert "is not defined" not in err
@@ -256,13 +264,25 @@ def test_survey_agreement_check_flags_a_shadowing_row(tmp_path, monkeypatch):
 
 def test_row_result_refuses_a_pair_the_row_does_not_spell():
     inst = instantiate(get_catalog().lookup("T1.4", 1), {"n": 5, "k": 4})
-    pair = ReductivePair(inst.g_types, 0, inst.items)
-    assert engine.row_result(pair, inst) == engine.cartan_space(pair)
-    # another factor, or a torus the row does not have
-    for other in (ReductivePair((sl(6),), 0, inst.items),
-                  ReductivePair(inst.g_types, 1, inst.items)):
-        with pytest.raises(ConstraintError, match="not the one T1.4:1 spells"):
-            engine.row_result(other, inst)
+    assert engine.row_result(inst) == engine.cartan_space(inst.pair)
+
+
+def test_a_row_that_fails_at_an_admissible_parameter_exits_1(tmp_path, monkeypatch, capsys):
+    # an extra generator pi(n-6) on T1.4:8: at n=7 it gives a negative
+    # complexity, from n=13 on it names a weight the factor lacks; `verify`
+    # does not sample those parameters, and the survey must not skip the row
+    src = get_catalog().data_dir
+    for f in src.iterdir():
+        (tmp_path / f.name).write_text(f.read_text())
+    t14 = tmp_path / "t14.tbl"
+    t14.write_text(t14.read_text().replace('gens="pi(i) : i=1..n-k"',
+                                           'gens="pi(i) : i=1..n-k | pi(n-6)"'))
+    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    assert cmd_verify("T1.4", out=io.StringIO()) == 0
+    assert cmd_survey(6, "", out=io.StringIO()) == 1
+    assert capsys.readouterr().err.startswith("error: T1.4:8 at {")
+    assert cmd_compute("so(13)/so(12)", out=io.StringIO()) == 1
+    assert capsys.readouterr().err == "error: weight index 7 out of range for factor B6\n"
 
 
 def test_survey_command(capsys):

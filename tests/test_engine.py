@@ -298,7 +298,7 @@ def _direct_sum(p, q):
     shift = len(p.factors)
     items = p.items + tuple(HItem(it.base, it.size, tuple(t + shift for t in it.targets),
                                   it.diag_type) for it in q.items)
-    zp, zq = len(p.family_slots()), len(q.family_slots())
+    zp, zq = len(tuple(p.families)), len(tuple(q.families))
     rows = [tuple(r) + (Q(0),) * zq for r in (p.center.basis if p.center else ())]
     rows += [(Q(0),) * zp + tuple(r) for r in (q.center.basis if q.center else ())]
     center = span(rows, zp + zq) if rows else None
@@ -314,7 +314,13 @@ def test_direct_sums_add_up():
     rng = random.Random(11)
     for _ in range(300):
         (p, rp), (q, rq) = rng.choice(survey), rng.choice(survey)
-        res = cartan_space(_direct_sum(p, q))
+        pair = _direct_sum(p, q)
+        res = cartan_space(pair)
+        # what the central branch of the engine relies on: a summand with a
+        # central part has a family row on every factor
+        for sub in decompose(pair):
+            if sub.center is not None:
+                assert all(f in sub.families for f in range(len(sub.factors)))
         n, m = p.weight_ambient, q.weight_ambient
         blocks = [tuple(b) + (Q(0),) * m for b in rp.space.basis]
         blocks += [(Q(0),) * n + tuple(b) for b in rq.space.basis]

@@ -255,7 +255,7 @@ class ReferenceParser:
         return (a, b)
 
     def _parse_zrows(self, ztext: str, zpos: int, pair: ReductivePair) -> RationalSubspace:
-        slots = pair.family_slots()
+        slots = tuple(pair.families)
         ambient = pair.center_dim + len(slots)
         rows = []
         for rowtext in ztext.split(";"):
