@@ -170,6 +170,8 @@ def parse_h_pattern(text: str) -> tuple[ItemPattern, ...]:
             if not all(x.isdigit() for x in tail.split(",")):
                 raise TableFormatError(f"bad item targets {tail!r}")
             targets = tuple(int(x) - 1 for x in tail.split(","))
+            if len(set(targets)) < len(targets):
+                raise TableFormatError(f"item targets {tail!r} name a factor twice")
         m = _TYPE_PAT.match(part)
         if not m or m.group(1) not in ITEM_BASES:
             raise TableFormatError(f"bad subalgebra item {part!r}")
@@ -603,6 +605,8 @@ class HItem:
         if len(self.targets) != 1 + two:
             raise ConstraintError(f"{b} lives in {'two factors' if two else 'one factor'}, "
                                   f"not {len(self.targets)}")
+        if len(set(self.targets)) < len(self.targets):
+            raise ConstraintError(f"{b} names factor {self.targets[0] + 1} twice")
         if b == "diag" and self.diag_type is None:
             raise ConstraintError("diag needs its type")
         if b in ("sl", "so", "sp", "spin") and not isinstance(n, int):

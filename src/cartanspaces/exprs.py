@@ -9,14 +9,15 @@ Grammar (all arithmetic is exact):
     relation := expr OP expr | 'odd(' expr ')' | 'even(' expr ')'
     OP       := '<=' | '>=' | '<' | '>' | '!=' | '='
 
-Multiplication is always written explicitly ('2*n-1', never '2n-1').
-Each text is parsed once into a closure over the parameter dict, cached by
-the text.  Values are ints until a '/' is taken and Fractions from there
-on, so 'k/n' is an exact fraction and never a float.
+INT is a decimal integer without leading zeros; multiplication is always
+explicit ('2*n-1', never '2n-1').  The grammar is a subset of Python's:
+`ast.parse` reads each text, with '=' read as '==', and every node outside
+the grammar is refused.  Each text is compiled once into a closure over the
+parameter dict, cached by the text.  Values are ints until a '/' is taken
+and Fractions from there on, so 'k/n' is exact and never a float.
 """
 
-from __future__ import annotations
-
+import ast
 import operator
 import re
 from fractions import Fraction
@@ -24,12 +25,13 @@ from functools import lru_cache
 
 from .errors import TableFormatError
 
-# any other character becomes a one-character token the grammar rejects
-_TOKEN = r"\d+|[a-zA-Z_]\w*|<=|>=|!=|[-+*/()<>=]|\S"
 _NAME = r"[a-zA-Z_]\w*"
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_COMPARE = {"<=": operator.le, ">=": operator.ge, "<": operator.lt,
-            ">": operator.gt, "=": operator.eq, "!=": operator.ne}
+# names, decimal integers without leading zeros, operators: never '0x10', '1_0', '1.5'
+_LEXICON = re.compile(rf"(?:(?:{_NAME}|0|[1-9]\d*)\b|[-+*/()<>=!\s])*", re.ASCII)
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+_COMPARE = {ast.LtE: operator.le, ast.GtE: operator.ge, ast.Lt: operator.lt,
+            ast.Gt: operator.gt, ast.Eq: operator.eq, ast.NotEq: operator.ne}
+_PARITY = {"odd": 1, "even": 0}
 
 
 def _integer(value, text: str, params: dict) -> int:
@@ -38,118 +40,67 @@ def _integer(value, text: str, params: dict) -> int:
     return int(value)
 
 
-class _Parser:
-    """Recursive descent over one text, returning a closure per node."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = re.findall(_TOKEN, text)
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise TableFormatError(f"unexpected end of expression {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        if self.take() != tok:
-            raise TableFormatError(f"missing {tok!r} in expression {self.text!r}")
-
-    def whole(self, relation: bool):
-        fn = self.relation() if relation else self.expr()
-        if self.peek() is not None:
-            raise TableFormatError(f"trailing input in expression {self.text!r}")
-        return fn
-
-    def relation(self):
-        text = self.text
-        if self.tokens[:2] in (["odd", "("], ["even", "("]):
-            parity = int(self.take() == "odd")
-            self.take()
-            inner = self.expr()
-            self.expect(")")
-            return lambda p: _integer(inner(p), text, p) % 2 == parity
-        lhs = self.expr()
-        op = self.peek()
-        if op not in _COMPARE:
-            raise TableFormatError(f"not a relation: {text!r}")
-        self.take()
-        rhs, compare = self.expr(), _COMPARE[op]
-        return lambda p: compare(lhs(p), rhs(p))
-
-    def expr(self):
-        fn = self.term()
-        while self.peek() in ("+", "-"):
-            op = _ARITH[self.take()]
-            fn = _binary(op, fn, self.term())
-        return fn
-
-    def term(self):
-        fn = self.unary()
-        while self.peek() in ("*", "/"):
-            if self.take() == "*":
-                fn = _binary(operator.mul, fn, self.unary())
-            else:
-                fn = self.quotient(fn, self.unary())
-        return fn
-
-    def quotient(self, num, den):
-        text = self.text
-
-        def fn(p):
-            d = den(p)
-            if d == 0:
-                raise TableFormatError(f"division by zero in expression {text!r} at {p}")
-            return Fraction(num(p), d)
-        return fn
-
-    def unary(self):
-        if self.peek() == "-":
-            self.take()
-            inner = self.unary()
+def _expr(node: ast.expr, text: str):
+    """The closure of an expression node of the grammar."""
+    match node:
+        case ast.BinOp(lhs, op, rhs) if type(op) in _ARITH:
+            return _binary(_ARITH[type(op)], _expr(lhs, text), _expr(rhs, text))
+        case ast.BinOp(lhs, ast.Div(), rhs):
+            return _quotient(_expr(lhs, text), _expr(rhs, text), text)
+        case ast.UnaryOp(ast.USub(), operand):
+            inner = _expr(operand, text)
             return lambda p: -inner(p)
-        return self.atom()
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            fn = self.expr()
-            self.expect(")")
-            return fn
-        if tok.isdigit():
-            value = int(tok)
+        case ast.Constant(value) if type(value) is int:  # not True or False
             return lambda p: value
-        if re.fullmatch(_NAME, tok):
-            return self.parameter(tok)
-        raise TableFormatError(f"unexpected token {tok!r} in expression {self.text!r}")
-
-    def parameter(self, name: str):
-        text = self.text
-
-        def fn(p):
-            try:
-                value = p[name]
-            except KeyError:
-                raise TableFormatError(f"unbound parameter {name!r} in expression {text!r}") from None
-            if isinstance(value, str):
-                raise TableFormatError(
-                    f"parameter {name!r} is {value!r}, not a number, in expression {text!r}")
-            return value
-        return fn
+        case ast.Name(name):
+            return _parameter(name, text)
+    raise TableFormatError(f"unexpected {ast.unparse(node)!r} in expression {text!r}")
 
 
 def _binary(op, lhs, rhs):
     return lambda p: op(lhs(p), rhs(p))
 
 
+def _quotient(num, den, text: str):
+    def fn(p):
+        if (d := den(p)) == 0:
+            raise TableFormatError(f"division by zero in expression {text!r} at {p}")
+        return Fraction(num(p), d)
+    return fn
+
+
+def _parameter(name: str, text: str):
+    def fn(p):
+        try:
+            value = p[name]
+        except KeyError:
+            raise TableFormatError(f"unbound parameter {name!r} in expression {text!r}") from None
+        if isinstance(value, str):
+            raise TableFormatError(
+                f"parameter {name!r} is {value!r}, not a number, in expression {text!r}")
+        return value
+    return fn
+
+
 @lru_cache(maxsize=4096)
 def _closure(text: str, relation: bool = False):
-    return _Parser(text).whole(relation)
+    if not _LEXICON.fullmatch(text):
+        raise TableFormatError(f"expression {text!r} holds a token outside the grammar")
+    source = re.sub(r"(?<![<>!])=", "==", text.strip())  # a literal '==' becomes '===='
+    try:
+        node = ast.parse(source, mode="eval").body
+        if not relation:
+            return _expr(node, text)
+        whole = (node.col_offset, node.end_col_offset) == (0, len(source))  # not '(n<3)'
+        match node:
+            case ast.Compare(lhs, [op], [rhs]) if whole and type(op) in _COMPARE:
+                return _binary(_COMPARE[type(op)], _expr(lhs, text), _expr(rhs, text))
+            case ast.Call(ast.Name(name), [arg], []) if whole and name in _PARITY:
+                inner, parity = _expr(arg, text), _PARITY[name]
+                return lambda p: _integer(inner(p), text, p) % 2 == parity
+    except (SyntaxError, RecursionError):
+        raise TableFormatError(f"malformed expression {text!r}") from None
+    raise TableFormatError(f"not a relation: {text!r}")
 
 
 def evaluate(text: str, params: dict) -> Fraction:

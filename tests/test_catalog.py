@@ -154,18 +154,27 @@ def _copy_tables(tmp_path, old: str = "", new: str = "", name: str = "t14.tbl"):
      "t14.tbl:32: item target 0 is not one of the 2 factors of g"),
     ("t14.tbl", "h=diag@1,2", "h=diag@1,3",
      "t14.tbl:32: item target 3 is not one of the 2 factors of g"),
+    ("t14.tbl", "h=diag@1,2", "h=diag@1,1", "t14.tbl:32: item targets '1,1' name a factor twice"),
     ("t48.tbl", 'mods="tau(1)*tau(2)"', 'mods="tau(1)*tau(3)"',
      "t48.tbl:16: module term factor 3 is not one of the 2 simple factors of norm"),
     # a rep term's highest weight is a fundamental weight, counted from 1
     ("t48.tbl", 'mods="rep(1,2) + z(1)', 'mods="rep(1,0) + z(1)',
      "t48.tbl:15: module term 'rep(1,0)' names highest weight 0; fundamental weights count from 1"),
+    # an expression outside the grammar
+    ("t14.tbl", 'constraint="n>=2; 2*k>=n+2', 'constraint="n>=2; 2**k>=n+2',
+     "t14.tbl:8: unexpected '2 ** k' in expression '2**k>=n+2'"),
+    ("t16.tbl", 'alpha="4/3"', 'alpha="4.0/3"',
+     "t16.tbl:12: expression '4.0/3' holds a token outside the grammar"),
 ])
-def test_planted_table_faults_fail_the_load(tmp_path, monkeypatch, name, old, new, message):
+def test_planted_table_faults_fail_the_load(tmp_path, monkeypatch, capsys, name, old, new,
+                                            message):
     _copy_tables(tmp_path, old, new, name)
     monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
     with pytest.raises(TableFormatError) as err:
         get_catalog()
     assert str(err.value).startswith(message)
+    assert main(["verify", "all"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_rep_weight_above_the_factor_rank_fails_verify(tmp_path, monkeypatch, capsys):
@@ -386,6 +395,10 @@ def test_items_that_do_not_fit_their_factors_are_refused():
             HItem(base, size, targets, dtype)
     with pytest.raises(ConstraintError, match="diag needs its type"):
         HItem("diag", None, (0, 1))
+    # a two-factor item in one factor twice
+    for item in [("bridge", None, (0, 0)), ("diag", None, (1, 1), sl(3))]:
+        with pytest.raises(ConstraintError, match=f"{item[0]} names factor {item[2][0] + 1} twice"):
+            HItem(*item)
 
 
 def test_zero_central_part_is_refused():

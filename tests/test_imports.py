@@ -1,4 +1,5 @@
-"""The package imports its own modules at module level only.
+"""The package imports its own modules at module level only, and nothing
+but itself and the standard library.
 
 A function-local import of a package module hides a dependency cycle
 instead of breaking it; standard-library imports inside a function (such as
@@ -6,6 +7,7 @@ instead of breaking it; standard-library imports inside a function (such as
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import cartanspaces
@@ -47,4 +49,34 @@ def test_no_function_imports_a_package_module():
     assert len(SOURCES) >= 10
     for path in SOURCES:
         found = local_package_imports(ast.parse(path.read_text(), str(path)))
+        assert not found, (path.name, found)
+
+
+def foreign_imports(tree: ast.AST) -> list[tuple[str, int]]:
+    """(module, line) of every import, at any depth, of a module that is
+    neither the package nor in the standard library."""
+    allowed = sys.stdlib_module_names | {"cartanspaces"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [] if node.level else [node.module]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [(name, node.lineno) for name in names if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_only_the_standard_library_is_imported():
+    probe = ast.parse(
+        "import os, numpy\n"
+        "from . import engine\n"
+        "from cartanspaces.exprs import evaluate\n"
+        "def f():\n"
+        "    from fractions import Fraction\n"
+        "    import sympy.core\n")
+    assert foreign_imports(probe) == [("numpy", 1), ("sympy.core", 6)]
+    for path in SOURCES:
+        found = foreign_imports(ast.parse(path.read_text(), str(path)))
         assert not found, (path.name, found)

@@ -458,9 +458,10 @@ def test_factor_named_twice_is_refused():
             parse_pair(text)
         assert err.value.offset == 12, text
         assert re.match(NEW_REFUSALS, str(err.value)), text
-        ReferenceParser(text).parse()     # the former parser accepted it
-        # the engine then refused it as outside the tables (exit 2); now it is
-        # an input error
+        # the former parser built the item, which the engine then refused as
+        # outside the tables (exit 2); now the item itself is an input error
+        with pytest.raises(ConstraintError):
+            ReferenceParser(text).parse()
         assert cmd_compute(text, out=io.StringIO()) == 1
 
 
