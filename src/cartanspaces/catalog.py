@@ -33,11 +33,9 @@ from .ratlinalg import (
     LinearFunctional,
     RationalSubspace,
     Vector,
-    annihilator_preimage,
     member,
     rref,
     span,
-    zero_space,
 )
 from .rootsystems import (
     AMBIENT_CEILING,
@@ -206,9 +204,20 @@ class WeightGroup:
 _RANGE = re.compile(r"\s*(\w+)\s*=\s*(.+?)\s*\.\.\s*(.+?)\s*$")
 
 
-def _ranged_parts(text: str) -> list[tuple[str, tuple[str, str, str] | None]]:
-    """Split `body | body : var = lo .. hi | ...` into (body, range or None)."""
-    out = []
+def _parse_wsum(text: str) -> tuple[tuple[bool, int, str], ...]:
+    terms = []
+    for piece in split_top(text, "+"):
+        m = _WTERM.match(piece.strip())
+        if not m:
+            raise TableFormatError(f"bad weight term {piece.strip()!r}")
+        exprs.syntax_check(m.group(3))
+        terms.append((m.group(1) == "*", len(m.group(2)), m.group(3)))
+    return tuple(terms)
+
+
+def parse_weight_groups(text: str) -> tuple[WeightGroup, ...]:
+    """Groups `sums | sums : var = lo .. hi | ...`, each sum list `,`-joined."""
+    groups = []
     for part in text.split("|"):
         part = part.strip()
         if not part:
@@ -222,33 +231,8 @@ def _ranged_parts(text: str) -> list[tuple[str, tuple[str, str, str] | None]]:
             rng = m.groups()
             exprs.syntax_check(rng[1])
             exprs.syntax_check(rng[2])
-        out.append((part, rng))
-    return out
-
-
-def _range_envs(rng: tuple[str, str, str] | None, params: dict) -> list[dict]:
-    """`params` alone, or `params` extended by each value of the ranged variable."""
-    if rng is None:
-        return [params]
-    var, lo, hi = rng
-    values = range(exprs.evaluate_int(lo, params), exprs.evaluate_int(hi, params) + 1)
-    return [{**params, var: value} for value in values]
-
-
-def _parse_wsum(text: str) -> tuple[tuple[bool, int, str], ...]:
-    terms = []
-    for piece in split_top(text, "+"):
-        m = _WTERM.match(piece.strip())
-        if not m:
-            raise TableFormatError(f"bad weight term {piece.strip()!r}")
-        exprs.syntax_check(m.group(3))
-        terms.append((m.group(1) == "*", len(m.group(2)), m.group(3)))
-    return tuple(terms)
-
-
-def parse_weight_groups(text: str) -> tuple[WeightGroup, ...]:
-    return tuple(WeightGroup(tuple(_parse_wsum(s) for s in part.split(",")), rng)
-                 for part, rng in _ranged_parts(text))
+        groups.append(WeightGroup(tuple(_parse_wsum(s) for s in part.split(",")), rng))
+    return tuple(groups)
 
 
 def instantiate_weight_groups(
@@ -267,7 +251,12 @@ def instantiate_weight_groups(
     duals = [dual_weight_permutation(t) for t in factor_types]
     out: list[tuple[int, ...]] = []
     for g in groups:
-        for env in _range_envs(g.rng, params):
+        envs = [params]
+        if g.rng is not None:
+            var, lo, hi = g.rng
+            values = range(exprs.evaluate_int(lo, params), exprs.evaluate_int(hi, params) + 1)
+            envs = [{**params, var: value} for value in values]
+        for env in envs:
             for terms in g.sums:
                 v = [0] * total
                 for dualize, factor, idx_expr in terms:
@@ -285,36 +274,8 @@ def instantiate_weight_groups(
     return out
 
 
-_CUT_TERM = re.compile(r"c\(([^()]*)\)\s*=\s*(.+)$")
-
-
-def _parse_cut(text: str) -> tuple[tuple[str, str, tuple[str, str, str] | None], ...]:
-    """Cut terms as (index expr, coefficient expr, range or None)."""
-    terms = []
-    for part, rng in _ranged_parts(text):
-        m = _CUT_TERM.match(part.strip())
-        if not m:
-            raise TableFormatError(f"bad cut term {part.strip()!r}")
-        exprs.syntax_check(m.group(1))
-        exprs.syntax_check(m.group(2))
-        terms.append((m.group(1), m.group(2), rng))
-    return tuple(terms)
-
-
-def instantiate_cut(terms, params: dict, rank: int) -> Vector:
-    """Functional coefficients on a single factor's weight coordinates."""
-    coeffs = [Fraction(0)] * rank
-    for idx_expr, coeff_expr, rng in terms:
-        for env in _range_envs(rng, params):
-            idx = exprs.evaluate_int(idx_expr, env)
-            if not (1 <= idx <= rank):
-                raise ConstraintError(f"cut index {idx} out of range")
-            coeffs[idx - 1] += exprs.evaluate(coeff_expr, env)
-    return tuple(coeffs)
-
-
 # ---------------------------------------------------------------------------
-# other fields: relations, expressions, numbers and normalizer rows (T4.8)
+# other fields: relations, expressions, flags and normalizer rows (T4.8)
 # ---------------------------------------------------------------------------
 
 def _relations(text: str, sep: str = ";") -> tuple[str, ...]:
@@ -328,12 +289,6 @@ def _expression(text: str) -> str:
     """Kept as text: `exprs` caches the compiled closure by it."""
     exprs.syntax_check(text)
     return text
-
-
-def _positive_int(text: str) -> int:
-    if not text.isdigit():
-        raise TableFormatError(f"idx must be a positive integer, got {text!r}")
-    return int(text)
 
 
 def _flag(text: str) -> bool:
@@ -396,21 +351,19 @@ _FIELDS = {
     "table": str, "row": str,
     "g": parse_g_pattern, "h": parse_h_pattern, "constraint": _relations,
     "gens": parse_weight_groups, "lam": parse_weight_groups,
-    "full": parse_weight_groups, "sat": parse_weight_groups, "cut": _parse_cut,
-    "zgen": _expression, "alpha": _expression, "kform": _expression,
-    "idx": _positive_int, "module": str,
+    "full": parse_weight_groups, "sat": parse_weight_groups,
+    "zgen": _expression, "alpha": _expression, "kform": _expression, "module": str,
     "norm": _parse_norm, "mods": _parse_mods, "ideals": _parse_ideals, "exhaustive": _flag,
 }
 
-# The fields each table's rows must carry ('sat|cut': exactly one of the
-# two), then those they may carry.
+# The fields each table's rows must carry, then those they may carry.
 _ROW_FIELDS = {
     "T1.4": ("g h gens", "constraint"),
-    "T1.6": ("g h zgen lam alpha full sat|cut", "constraint"),
+    "T1.6": ("g h zgen lam alpha full sat", "constraint"),
     "T3.2": ("g kform", ""),
     "T3.4": ("g h", "constraint"),
-    "T3.6": ("g h idx", "constraint"),
-    "T3.7": ("g h idx module", "constraint"),
+    "T3.6": ("g h", "constraint"),
+    "T3.7": ("g h module", "constraint"),
     "T4.8": ("g norm mods ideals", "constraint exhaustive"),
 }
 
@@ -519,15 +472,13 @@ class Catalog:
         if table not in _ROW_FIELDS or "row" not in rec:
             raise TableFormatError(f"record needs a known table= and a row=, got {table!r}")
         required, optional = _ROW_FIELDS[table]
-        allowed = {"table", "row", *required.replace("|", " ").split(), *optional.split()}
+        allowed = {"table", "row", *required.split(), *optional.split()}
         for key in rec:
             if key not in allowed:
                 raise TableFormatError(f"unknown field {key!r}")
-        for spec in required.split():
-            if "|" not in spec and spec not in rec:
-                raise TableFormatError(f"{table} row needs field {spec!r}")
-            if sum(name in rec for name in spec.split("|")) != 1:
-                raise TableFormatError(f"{table} row needs exactly one of {spec.replace('|', ', ')}")
+        for name in required.split():
+            if name not in rec:
+                raise TableFormatError(f"{table} row needs field {name!r}")
         aux = {key: _FIELDS[key](text) for key, text in rec.items()}
         entry = CatalogEntry(aux.pop("table"), aux.pop("row"), aux.pop("g"), aux.pop("h", ()),
                              aux.pop("constraint", ()), aux.pop("gens", ()), aux)
@@ -901,21 +852,13 @@ def instantiate(entry: CatalogEntry, params: dict) -> RowInstance:
     aux: dict = {}
     if entry.table == "T1.6":
         rank = g_types[0].rank
-        full_sp = span(instantiate_weight_groups(entry.aux["full"], params, g_types), rank)
-        if "cut" in entry.aux:
-            cut = instantiate_cut(entry.aux["cut"], params, rank)
-            sat_sp = annihilator_preimage(full_sp, zero_space(rank), [LinearFunctional(cut)])
-        else:
-            sat_sp = span(instantiate_weight_groups(entry.aux["sat"], params, g_types), rank)
         aux.update(
-            full=full_sp,
-            sat=sat_sp,
+            full=span(instantiate_weight_groups(entry.aux["full"], params, g_types), rank),
+            sat=span(instantiate_weight_groups(entry.aux["sat"], params, g_types), rank),
             lam=instantiate_weight_groups(entry.aux["lam"], params, g_types)[0],
             alpha_value=exprs.evaluate(entry.aux["alpha"], params),
             zgen=exprs.evaluate_int(entry.aux["zgen"], params),
         )
-    if entry.table in ("T3.6", "T3.7"):
-        aux["idx"] = entry.aux["idx"]
     if entry.table == "T4.8":
         aux["norm"] = _instantiate_norm(entry.aux["norm"], params)
         aux["mods"] = tuple((_module_dim(terms, aux["norm"][0]), zexp)
@@ -1102,75 +1045,78 @@ class Check:
 def verify_entry(entry: CatalogEntry, params: dict) -> list[Check]:
     """Consistency checks for one row at concrete parameters.
 
-    Failures are reported, not raised.
+    Failures are reported, not raised: a CartanError met while the row
+    instantiates or while a check runs ends the list with one failed check
+    that names the row and the parameters.
     """
+    checks: list[Check] = []
+    step = "instantiates"
     try:
         inst = instantiate(entry, params)
-    except CartanError as exc:
-        return [Check(f"{entry.row_id} instantiates at {params}", False, str(exc))]
-    checks: list[Check] = []
+        step = "runs its checks"
 
-    if entry.table == "T1.4":
-        distinct = sorted(set(inst.gens))
-        spanned = span(distinct, inst.ambient)
-        ok = spanned.dim == len(distinct)
-        checks.append(Check(
-            f"{entry.row_id} generators-independent at {params}",
-            ok, f"{len(distinct)} generators span dimension {spanned.dim}"))
+        if entry.table == "T1.4":
+            distinct = sorted(set(inst.gens))
+            spanned = span(distinct, inst.ambient)
+            ok = spanned.dim == len(distinct)
+            checks.append(Check(
+                f"{entry.row_id} generators-independent at {params}",
+                ok, f"{len(distinct)} generators span dimension {spanned.dim}"))
 
-    if entry.table == "T3.2":
-        rs = build_root_system(inst.g_types[0])
-        want = exprs.evaluate_int(entry.aux["kform"], params)
-        got = k_value(rs)
-        checks.append(Check(
-            f"{entry.row_id} long-root pairing sum at rank {rs.rank}",
-            got == want, f"enumeration {got}, closed form {want}"))
+        if entry.table == "T3.2":
+            rs = build_root_system(inst.g_types[0])
+            want = exprs.evaluate_int(entry.aux["kform"], params)
+            got = k_value(rs)
+            checks.append(Check(
+                f"{entry.row_id} long-root pairing sum at rank {rs.rank}",
+                got == want, f"enumeration {got}, closed form {want}"))
 
-    if entry.table == "T3.4":
-        idx = dynkin_index_of(inst.items[0], list(inst.g_types))
-        checks.append(Check(
-            f"{entry.row_id} unit-index at {params}", idx == 1, f"index {idx}"))
+        if entry.table == "T3.4":
+            idx = dynkin_index_of(inst.items[0], list(inst.g_types))
+            checks.append(Check(
+                f"{entry.row_id} unit-index at {params}", idx == 1, f"index {idx}"))
 
-    if entry.table in ("T3.6", "T3.7"):
-        l = module_index_complement_types(inst.g_types[0], inst.items[0], inst.aux["idx"])
-        if entry.table == "T3.6":
-            ok, want = l < 1, "< 1"
-        else:
-            ok, want = l == 1, "= 1"
-        checks.append(Check(
-            f"{entry.row_id} complement-index {want} at {params}",
-            ok, f"index {l}"))
+        if entry.table in ("T3.6", "T3.7"):
+            idx = dynkin_index_of(inst.items[0], list(inst.g_types))
+            l = module_index_complement_types(inst.g_types[0], inst.items[0], idx)
+            if entry.table == "T3.6":
+                ok, want = l < 1, "< 1"
+            else:
+                ok, want = l == 1, "= 1"
+            checks.append(Check(
+                f"{entry.row_id} complement-index {want} at {params}",
+                ok, f"index {l}"))
 
-    if entry.table == "T4.8":
-        simple, torus = inst.aux["norm"]
-        dim_norm = sum(f.dim for f in simple) + torus
-        dim_mods = sum(d for d, _ in inst.aux["mods"])
-        dim_g = inst.g_types[0].dim
-        checks.append(Check(
-            f"{entry.row_id} dimension-bookkeeping at {params}",
-            dim_g == dim_norm + dim_mods,
-            f"dim g = {dim_g}, normalizer {dim_norm} + modules {dim_mods}"))
+        if entry.table == "T4.8":
+            simple, torus = inst.aux["norm"]
+            dim_norm = sum(f.dim for f in simple) + torus
+            dim_mods = sum(d for d, _ in inst.aux["mods"])
+            dim_g = inst.g_types[0].dim
+            checks.append(Check(
+                f"{entry.row_id} dimension-bookkeeping at {params}",
+                dim_g == dim_norm + dim_mods,
+                f"dim g = {dim_g}, normalizer {dim_norm} + modules {dim_mods}"))
 
-    if entry.table == "T1.6":
-        full: RationalSubspace = inst.aux["full"]
-        sat: RationalSubspace = inst.aux["sat"]
-        lam = inst.aux["lam"]
-        checks.append(Check(
-            f"{entry.row_id} saturated-inside-full-codim-1 at {params}",
-            full.contains(sat) and full.dim == sat.dim + 1,
-            f"dims {sat.dim} inside {full.dim}"))
-        checks.append(Check(
-            f"{entry.row_id} duality-weight-separates at {params}",
-            member(full, lam) and not member(sat, lam),
-            "weight lies in the full space but not the saturated one"))
-        # the duality functional solves, vanishes on the saturated space and
-        # takes the stored value at the stored weight
-        try:
+        if entry.table == "T1.6":
+            full: RationalSubspace = inst.aux["full"]
+            sat: RationalSubspace = inst.aux["sat"]
+            lam = inst.aux["lam"]
+            checks.append(Check(
+                f"{entry.row_id} saturated-inside-full-codim-1 at {params}",
+                full.contains(sat) and full.dim == sat.dim + 1,
+                f"dims {sat.dim} inside {full.dim}"))
+            checks.append(Check(
+                f"{entry.row_id} duality-weight-separates at {params}",
+                member(full, lam) and not member(sat, lam),
+                "weight lies in the full space but not the saturated one"))
+            # the duality functional solves, vanishes on the saturated space
+            # and takes the stored value at the stored weight
             fn = LinearFunctional(solve_alpha(inst))
             ann = all(fn(b) == 0 for b in sat.basis)
-            ok = ann and fn(lam) == inst.aux["alpha_value"]
-            detail = f"value {fn(lam)} at the stored weight, annihilates saturated: {ann}"
-        except CartanError as exc:
-            ok, detail = False, str(exc)
-        checks.append(Check(f"{entry.row_id} duality-functional contract at {params}", ok, detail))
+            checks.append(Check(
+                f"{entry.row_id} duality-functional contract at {params}",
+                ann and fn(lam) == inst.aux["alpha_value"],
+                f"value {fn(lam)} at the stored weight, annihilates saturated: {ann}"))
+    except CartanError as exc:
+        checks.append(Check(f"{entry.row_id} {step} at {params}", False, str(exc)))
     return checks

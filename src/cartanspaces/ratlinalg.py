@@ -91,10 +91,6 @@ def span(vectors: Iterable[Sequence], ambient_dim: int) -> RationalSubspace:
     return RationalSubspace(ambient_dim, tuple(map(tuple, basis)))
 
 
-def zero_space(ambient_dim: int) -> RationalSubspace:
-    return RationalSubspace(ambient_dim, ())
-
-
 def member(space: RationalSubspace, *vectors: Sequence) -> bool:
     """Whether every vector lies in `space`: cleared on the basis pivots, it vanishes."""
     basis = [(b, next(i for i, x in enumerate(b) if x))

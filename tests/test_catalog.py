@@ -9,6 +9,7 @@ from cartanspaces.catalog import (
     Catalog,
     HItem,
     ReductivePair,
+    admissible_params,
     family_row_for_factor,
     get_catalog,
     instantiate,
@@ -21,7 +22,7 @@ from cartanspaces.catalog import (
 from cartanspaces.cli import main, survey_pairs
 from cartanspaces.errors import ConstraintError, TableFormatError
 from cartanspaces.exprs import check_relation, evaluate, variables
-from cartanspaces.ratlinalg import zero_space
+from cartanspaces.ratlinalg import dot, span
 from cartanspaces.rootsystems import AMBIENT_CEILING, RANK_CEILING, SimpleType, sl, so, sp
 from reference_params import box_admissible_params
 
@@ -144,8 +145,10 @@ def _copy_tables(tmp_path, old: str = "", new: str = "", name: str = "t14.tbl"):
      "t16.tbl:12: T1.6 row needs field 'lam'"),
     ("t48.tbl", "1,2\" exhaustive=false", "1,2\" exhaustive=flase",
      "t48.tbl:16: exhaustive must be true or false, got 'flase'"),
-    ("t16.tbl", 'cut="c(i)=i', 'sat="pi(1)" cut="c(i)=i',
-     "t16.tbl:8: T1.6 row needs exactly one of sat, cut"),
+    # the saturated space is a weight list and the Dynkin index is not stored
+    ("t16.tbl", 'sat="pi(i)+pi(n-i) : i=1..n-k | pi(1)+pi(i)+pi(n-i-1) : i=1..n-k-1"',
+     'cut="c(i)=i : i=1..n-k | c(n-i)=-i : i=1..n-k"', "t16.tbl:8: unknown field 'cut'"),
+    ("t36.tbl", 'constraint="n>=2"', 'constraint="n>=2" idx=1', "t36.tbl:5: unknown field 'idx'"),
     ("t14.tbl", 'gens="pi(3)"', 'gens="pi(3)" idx=1', "t14.tbl:20: unknown field 'idx'"),
     ("t32.tbl", 'kform="16"', 'kform="16" kform="17"', "t32.tbl:11: field 'kform' given twice"),
     # factor numbers: item targets within g, module terms within the simple factors of norm
@@ -404,7 +407,7 @@ def test_items_that_do_not_fit_their_factors_are_refused():
 def test_zero_central_part_is_refused():
     # it would print as sl(5)/sl(3), which parses back without a center
     with pytest.raises(ConstraintError) as err:
-        ReductivePair((sl(5),), 0, (HItem("sl", 3, (0,)),), zero_space(1))
+        ReductivePair((sl(5),), 0, (HItem("sl", 3, (0,)),), span([], 1))
     assert str(err.value) == "zero central part; leave the center out"
 
 
@@ -429,6 +432,32 @@ def test_weight_ambient_is_bounded():
         with pytest.raises(ConstraintError) as err:
             ReductivePair(factors, center)
         assert str(err.value).endswith(f"is above {AMBIENT_CEILING}")
+
+
+# T1.6:1 and T1.6:3 once stored their saturated spaces as the kernel in
+# `full` of these functionals: integer coefficients on the pi-coordinates
+_FORMER_CUTS = {
+    "1": lambda n, k: {**{i: i for i in range(1, n - k + 1)},
+                       **{n - i: -i for i in range(1, n - k + 1)}},
+    "3": lambda n: {**{2 * i + 1: n - i for i in range(n)},
+                    **{2 * i: -i for i in range(1, n + 1)}},
+}
+
+
+def test_saturated_lists_equal_the_former_cuts():
+    checked = 0
+    for row, coeffs in _FORMER_CUTS.items():
+        entry = lookup("T1.6", row)
+        for params in admissible_params(entry, 40):
+            inst = instantiate(entry, params)
+            full, sat = inst.aux["full"], inst.aux["sat"]
+            at = coeffs(**params)
+            cut = [at.get(i, 0) for i in range(1, inst.ambient + 1)]
+            assert full.contains(sat) and sat.dim == full.dim - 1, (row, params)
+            assert not any(dot(cut, b) for b in sat.basis), (row, params)
+            assert any(dot(cut, b) for b in full.basis), (row, params)
+            checked += 1
+    assert checked == 420
 
 
 def test_t48_ideal_conditions_match_semisimple_table():

@@ -285,6 +285,31 @@ def test_a_row_that_fails_at_an_admissible_parameter_exits_1(tmp_path, monkeypat
     assert capsys.readouterr().err == "error: weight index 7 out of range for factor B6\n"
 
 
+@pytest.mark.parametrize("table, name, old, new, failed", [
+    # an embedding that `indexes` has no Dynkin index for
+    ("T3.4", "t34.tbl", "g=sp(2*n) h=sp(2*k)", "g=sp(2*n) h=so(2*k)", [
+        "[FAIL] T3.4:8 instantiates at {'k': 1, 'n': 2}: so(2) is not available",
+        "[FAIL] T3.4:8 runs its checks at {'k': 3, 'n': 4}: "
+        "unsupported embedding shape: so(6) inside C4"]),
+    # a closed form that names a parameter the row lacks
+    ("T3.2", "t32.tbl", 'kform="48"', 'kform="48/(l-l)"', [
+        "[FAIL] T3.2:E6 runs its checks at {}: unbound parameter 'l' in expression '48/(l-l)'"]),
+])
+def test_a_check_that_raises_is_one_failed_check(tmp_path, table, name, old, new, failed):
+    for f in get_catalog().data_dir.iterdir():
+        (tmp_path / f.name).write_text(f.read_text())
+    edited = tmp_path / name
+    assert old in edited.read_text()
+    edited.write_text(edited.read_text().replace(old, new, 1))
+    src = str(Path(cartanspaces.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "cartanspaces.cli", "verify", table],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src, CARTAN_DATA_DIR=str(tmp_path)))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line.startswith("[FAIL]")] == failed
+
+
 def test_survey_command(capsys):
     assert cmd_survey(3, "complexity=1") == 0
     out = capsys.readouterr().out

@@ -68,8 +68,8 @@ def test_large_rank_regression():
 
 
 def test_large_rank_central_pair():
-    # the central family at the rank ceiling: both the T1.6 cut and the
-    # central cut eliminate about 60 rows of width 128-129
+    # the central family at the rank ceiling: the T1.6 saturated span and
+    # the central cut eliminate about 60 rows of width 128-129
     t0 = time.perf_counter()
     res = cartan_space(parse_pair("sl(129)/sl(100)+z=[pi_v(29)]"))
     elapsed = time.perf_counter() - t0

@@ -13,7 +13,7 @@ from cartanspaces.engine import (
     levi_centralizer_dim,
     twist,
 )
-from cartanspaces.errors import ConstraintError, OutsideCatalogError
+from cartanspaces.errors import CartanError, ConstraintError, OutsideCatalogError
 from cartanspaces.ratlinalg import dot, member, span, vec
 from cartanspaces.rootsystems import SimpleType, build_root_system, sl, so, sp
 
@@ -268,6 +268,32 @@ def test_twist_on_centrally_extended_pair():
     res = twist(p, flip)
     assert res.space == base.space
     assert res.rank == base.rank and res.complexity == base.complexity
+
+
+def _answered_so_so():
+    """(r, k) for r = 4..12 and every k at which so(2r)/so(k) is answered;
+    k = r+1 is the wrong answer of ROADMAP item 1."""
+    cases = []
+    for r in range(4, 13):
+        for k in range(3, 2 * r + 1):
+            try:
+                cartan_space(pair_of(so(2 * r), items=[HItem("so", k, (0,))]))
+            except CartanError:
+                continue
+            marks = pytest.mark.xfail(
+                strict=True, reason="ROADMAP item 1: T1.4:8 at so(2r)/so(r+1)") if k == r + 1 else ()
+            cases.append(pytest.param(r, k, marks=marks))
+    return cases
+
+
+@pytest.mark.parametrize("r, k", _answered_so_so())
+def test_fork_swap_keeps_the_so_so_space(r, k):
+    # a reflection of the complement of so(k) lies in O(2r) but not SO(2r)
+    # and centralizes SO(k); it swaps the fork nodes r-1 and r of D_r, so
+    # the space must be stable under that swap; no table gives the answer
+    p = pair_of(so(2 * r), items=[HItem("so", k, (0,))])
+    fork = Twist((0,), (tuple(range(r - 2)) + (r - 1, r - 2),))
+    assert twist(p, fork).space == cartan_space(p).space
 
 
 def test_twist_rejects_bad_input():

@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from cartanspaces.catalog import HItem, get_catalog, instantiate, minimal_params, sample_params
+from cartanspaces.catalog import HItem, get_catalog, instantiate, sample_params
 from cartanspaces.errors import ConstraintError
 from cartanspaces.indexes import dynkin_index_of, module_index_complement_types, per_factor_index
 from cartanspaces.rootsystems import SimpleType, sl, so, sp
@@ -46,15 +46,6 @@ def test_complement_index_values():
         assert module_index_complement_types(g, item, per_factor_index(item, g)) == want
 
 
-def test_stored_indices_agree_with_kind_constants():
-    catalog = get_catalog()
-    for entry in catalog.rows("T3.6") + catalog.rows("T3.7"):
-        if entry.h_pattern[0].base == "sl2long":
-            continue  # stored constant only; no classical kind derivation
-        inst = instantiate(entry, minimal_params(entry))
-        assert per_factor_index(inst.items[0], inst.g_types[0]) == inst.aux["idx"], entry.row_id
-
-
 def test_k_monotonicity_over_all_catalog_embeddings():
     # every proper embedding listed in the tables strictly lowers the
     # long-root pairing sum
@@ -75,12 +66,14 @@ def test_partition_sweep():
     for entry in catalog.rows("T3.6"):
         for params in sample_params(entry):
             inst = instantiate(entry, params)
-            l = Q(inst.aux["idx"]) * _k(inst.g_types[0]) / _k(inst.items[0].simple_type) - 1
+            idx = dynkin_index_of(inst.items[0], list(inst.g_types))
+            l = Q(idx) * _k(inst.g_types[0]) / _k(inst.items[0].simple_type) - 1
             assert l < 1, (entry.row_id, params, l)
     for entry in catalog.rows("T3.7"):
         for params in sample_params(entry):
             inst = instantiate(entry, params)
-            l = Q(inst.aux["idx"]) * _k(inst.g_types[0]) / _k(inst.items[0].simple_type) - 1
+            idx = dynkin_index_of(inst.items[0], list(inst.g_types))
+            l = Q(idx) * _k(inst.g_types[0]) / _k(inst.items[0].simple_type) - 1
             assert l == 1, (entry.row_id, params, l)
 
 
