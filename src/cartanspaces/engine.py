@@ -23,10 +23,12 @@ the subalgebra live in the separate coordinate space
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from itertools import accumulate
+from math import lcm
+from operator import mul, neg
 from typing import Sequence
 
 from .catalog import (
@@ -53,7 +55,7 @@ from .ratlinalg import (
     rref,  # not called here; benchmark/test_benchmark.py looks it up as engine.rref
     span,
 )
-from .rootsystems import build_root_system, diagram_automorphisms
+from .rootsystems import CLASSICAL, build_root_system, diagram_automorphisms
 
 
 @dataclass(frozen=True)
@@ -358,41 +360,51 @@ def essential_pair(pair: ReductivePair, ess: EssentialPart | None = None) -> Red
 def levi_centralizer_dim(pair: ReductivePair, space: RationalSubspace) -> int:
     """Dimension of the centralizer of the space: rank + center + fixed roots.
 
-    A root beta = sum_i c_i alpha_i of a factor fixes the space exactly when
-    it is orthogonal to the weight sum_i b_i pi_i of every nonzero block b of
-    the basis, that is when c . u = 0 for u_i = b_i |alpha_i|^2 (see
-    `RootSystem`).  With every u scaled to integers, the blocks fold into one
-    vector lam = sum_k t^k u_k, t = `radix`: since
-    |c . u_k| <= ht(beta) max|u_k| < t/2, c . lam vanishes exactly when
-    every c . u_k does.  So each positive root costs one integer dot
-    product, and beta and -beta are counted together.
+    A classical factor's roots are e_j - e_k, e_j + e_k, e_j and 2e_j in the
+    e-coordinates of Bourbaki's plates I-IV, so a root fixes the space when
+    its coordinates j, k carry equal, opposite or zero tuples (x_j over the
+    factor's nonzero basis blocks; `_epsilon`).  With m_v coordinates of
+    tuple v, e_j - e_k counts sum_v C(m_v, 2), e_j + e_k counts
+    (sum_v m_v m_-v - m_0)/2 and e_j or 2e_j counts m_0.  An exceptional
+    root sum_i c_i alpha_i fixes the weight sum_i b_i pi_i when
+    sum_i c_i b_i |alpha_i|^2 = 0 (see `RootSystem`).
     """
     if space.ambient_dim != pair.weight_ambient:
         raise ConstraintError("space ambient does not match the pair's weight coordinates")
     offsets = _factor_offsets(pair)
     fixed = 0
     for f, t in enumerate(pair.factors):
-        rs = build_root_system(t)
-        us = []
+        blocks = []
         for b in space.basis:
             block = b[offsets[f]: offsets[f] + t.rank]
             if any(block):
-                den = lcm(*(Fraction(x).denominator for x in block))
-                u = [int(x * den) * n for x, n in zip(block, rs.simple_norms)]
-                g = gcd(*u)
-                us.append([x // g for x in u])
-        if not us:
-            fixed += len(rs.positive_coords)
-            continue
-        # the highest root has height (Coxeter number - 1) = dim / rank - 2
-        top = t.dim // t.rank - 2
-        radix = 2 * top * max(abs(x) for u in us for x in u) + 1
-        lam = [sum(u[i] * radix ** k for k, u in enumerate(us)) for i in range(t.rank)]
-        cols = [i for i, x in enumerate(lam) if x]
-        vals = [lam[i] for i in cols]
-        fixed += sum(1 for c in rs.positive_coords
-                     if not sum(map(mul, map(c.__getitem__, cols), vals)))
+                den = lcm(*(x.denominator for x in block))
+                blocks.append([x.numerator * (den // x.denominator) for x in block])
+        if not blocks:
+            fixed += (t.dim - t.rank) // 2
+        elif t.series in CLASSICAL:
+            m = Counter(zip(*(_epsilon(t.series, u) for u in blocks)))
+            fixed += sum(c * (c - 1) // 2 for c in m.values())
+            if t.series != "A":
+                zero = m[(0,) * len(blocks)]
+                fixed += (sum(c * m[tuple(map(neg, v))] for v, c in m.items()) - zero) // 2
+                if t.series in "BC":
+                    fixed += zero
+        else:
+            rs = build_root_system(t)
+            us = [list(map(mul, u, rs.simple_norms)) for u in blocks]
+            fixed += sum(1 for c in rs.positive_coords
+                         if not any(sum(map(mul, c, u)) for u in us))
     return pair.rank_g + pair.center_dim + 2 * fixed
+
+
+def _epsilon(series: str, u: Sequence[int]) -> list[int]:
+    """2x the e-coordinates of the weight sum_i u_i pi_i of a classical factor:
+    x_j = 2 sum_{i>=j} u_i, less u_l for B and u_{l-1} + u_l for D, whose
+    spin weights have halves; A gets the last coordinate 0."""
+    shift = {"B": u[-1], "D": sum(u[-2:])}.get(series, 0)
+    xs = [2 * s - shift for s in accumulate(reversed(u))][::-1]
+    return xs + [0] if series == "A" else xs
 
 
 def complexity_of_space(pair: ReductivePair, space: RationalSubspace) -> int:

@@ -31,16 +31,20 @@ from .ratlinalg import Vector, combine, dot, rref
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
-# Largest rank accepted for the classical series.  The root system of a
-# rank-r factor holds about 2r^2 roots of length about r (for B, C and D),
-# so a bound on the rank bounds the time and memory of every build: D128
-# has 32512 roots and built in 0.8 s CPU with a 67 MB peak (Python 3.11,
-# one core of an Intel Xeon).
+# Largest rank accepted for the classical series.  `compute` counts the
+# roots of a classical factor from e-coordinates and builds no root system:
+# at the ceiling `compute "so(257)/so(200)"` takes 0.18 s CPU with an 18 MB
+# peak, against 0.93 s and 51 MB when it built D128.  `verify` and `twist`
+# still build root systems, of about 2r^2 roots of length about r for B, C
+# and D, so the rank bounds their time and memory: D128 has 32512 roots
+# and builds in 0.55 s CPU, adding 33 MB to the peak.  (CLI processes with
+# import, Python 3.11, one core of an Intel Xeon, at a speed where a loop
+# of 39,999 `s += Fraction(i, i + 1)` takes 1.31 s CPU.)
 RANK_CEILING = 128
 # Largest weight ambient of a pair (rank of g plus the dimension of its
 # center), since a pair may have many factors: at the ceiling,
 # `sl(128)+sl(128)+sl(128)+sl(128)+center(4)/sl(100) in 1` computes in
-# 1.7 s CPU with a 50 MB peak (same machine).
+# 0.44 s CPU with a 22 MB peak (same machine and speed).
 AMBIENT_CEILING = 4 * RANK_CEILING
 
 
