@@ -45,7 +45,6 @@ from .rootsystems import (
     algebra,
     build_root_system,
     dual_weight_permutation,
-    k_value,
     size_dim,
     weyl_dim,
 )
@@ -1066,7 +1065,7 @@ def verify_entry(entry: CatalogEntry, params: dict) -> list[Check]:
         if entry.table == "T3.2":
             rs = build_root_system(inst.g_types[0])
             want = exprs.evaluate_int(entry.aux["kform"], params)
-            got = k_value(rs)
+            got = rs.k
             checks.append(Check(
                 f"{entry.row_id} long-root pairing sum at rank {rs.rank}",
                 got == want, f"enumeration {got}, closed form {want}"))

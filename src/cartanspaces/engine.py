@@ -55,7 +55,7 @@ from .ratlinalg import (
     rref,  # not called here; benchmark/test_benchmark.py looks it up as engine.rref
     span,
 )
-from .rootsystems import CLASSICAL, build_root_system, diagram_automorphisms
+from .rootsystems import CLASSICAL, build_root_system
 
 
 @dataclass(frozen=True)
@@ -446,10 +446,12 @@ def _validate_twist(pair: ReductivePair, tw: Twist) -> None:
         if pair.factors[i] != pair.factors[p]:
             raise ConstraintError(
                 f"twist maps factor {pair.factors[i]} onto non-isomorphic {pair.factors[p]}")
-        if tw.node_perms[i] not in diagram_automorphisms(build_root_system(pair.factors[i])):
-            raise ConstraintError(
-                f"node permutation {tw.node_perms[i]} is not a diagram symmetry of "
-                f"{pair.factors[i]}")
+        # checked directly: listing every symmetry (`diagram_automorphisms`) is O(l^4)
+        perm, t = tw.node_perms[i], pair.factors[i]
+        C = build_root_system(t).cartan_matrix
+        if sorted(perm) != list(range(t.rank)) or any(
+                C[perm[a]][perm[b]] != C[a][b] for a in range(t.rank) for b in range(t.rank)):
+            raise ConstraintError(f"node permutation {perm} is not a diagram symmetry of {t}")
 
 
 _OUTER_NOTES = (

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConstraintError
-from .rootsystems import CLASSICAL, SimpleType, build_root_system, k_value
+from .rootsystems import CLASSICAL, SimpleType, build_root_system
 
 if TYPE_CHECKING:  # catalog imports this module
     from .catalog import HItem
@@ -81,6 +81,4 @@ def dynkin_index_of(item: HItem, g_types: Sequence[SimpleType]) -> int:
 
 def module_index_complement_types(g: SimpleType, item: HItem, idx: int) -> Fraction:
     """Index of the complement module g/h for a simple item h of Dynkin index idx in g."""
-    kg = k_value(build_root_system(g))
-    kh = k_value(build_root_system(item.simple_type))
-    return Fraction(idx * kg, kh) - 1
+    return Fraction(idx * build_root_system(g).k, build_root_system(item.simple_type).k) - 1

@@ -2,9 +2,11 @@
 
 Every system is realized in a fixed ambient Q^m whose standard dot product
 is a positive multiple of the invariant form, so pairings between roots and
-weights are exact.  Roots are generated by reflection closure from the
-simple roots, which also gives each positive root's simple-root coordinates;
-fundamental weights are solved from the Cartan matrix on first use.
+weights are exact.  A classical type reads its positive roots, with their
+simple-root coordinates, off Bourbaki's plates I-IV; E, F and G close the
+simple roots under reflections, which gives the coordinates as well.  The
+fundamental weights (solved from the Cartan matrix) and the long-root sum
+`RootSystem.k` are computed on first use.
 
 Simple roots are numbered in the VO convention, the one used by all
 classification tables in this package.  For the classical series and G2 it
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import accumulate, combinations, compress
 from operator import mul, neg
 
 from .errors import ConstraintError, DimensionError
@@ -36,10 +38,12 @@ SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
 # at the ceiling `compute "so(257)/so(200)"` takes 0.18 s CPU with an 18 MB
 # peak, against 0.93 s and 51 MB when it built D128.  `verify` and `twist`
 # still build root systems, of about 2r^2 roots of length about r for B, C
-# and D, so the rank bounds their time and memory: D128 has 32512 roots
-# and builds in 0.55 s CPU, adding 33 MB to the peak.  (CLI processes with
-# import, Python 3.11, one core of an Intel Xeon, at a speed where a loop
-# of 39,999 `s += Fraction(i, i + 1)` takes 1.31 s CPU.)
+# and D, so the rank bounds their time and memory: D128 has 32512 roots,
+# read off the plates, and its build plus `k_value` takes 0.45 s CPU and
+# adds 32.8 MB to the peak after import (0.72 s and 32.7 MB by reflection
+# closure).  (The `compute` figures are CLI processes with import; Python
+# 3.11, one core of an Intel Xeon, at a speed where a loop of 39,999
+# `s += Fraction(i, i + 1)` takes 1.31 s CPU.)
 RANK_CEILING = 128
 # Largest weight ambient of a pair (rank of g plus the dimension of its
 # center), since a pair may have many factors: at the ceiling,
@@ -246,6 +250,11 @@ class RootSystem:
         return tuple(sorted(self.positive_roots + negative))
 
     @cached_property
+    def k(self) -> int:
+        """`k_value` at the highest root, computed on first use."""
+        return k_value(self)
+
+    @cached_property
     def fundamental_weights(self) -> tuple[Vector, ...]:
         """Ambient coordinates of pi_1..pi_l, solved from the Cartan matrix on first use."""
         cinv = _invert([[Fraction(x) for x in row] for row in self.cartan_matrix])
@@ -275,16 +284,18 @@ def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
 @lru_cache(maxsize=None)
 def build_root_system(t: SimpleType) -> RootSystem:
     """Construct the root system of a simple type (cached, immutable)."""
+    return _realize(t, plates=t.series in CLASSICAL)
+
+
+def _realize(t: SimpleType, plates: bool) -> RootSystem:
+    """The root system of t, its positive roots read off Bourbaki's plates
+    (classical t only) or closed under reflections from the simple roots
+    (any t); the tests check that the two are equal."""
     m, simple = _simple_roots(t)
     l = t.rank
     norms = tuple(sum(x * x for x in a) for a in simple)
-    # nonzero entries of each simple root, and the simple roots meeting
-    # each ambient coordinate; classical simple roots have at most two
+    # nonzero entries of each simple root; classical ones have at most two
     supports = [[(k, x) for k, x in enumerate(a) if x] for a in simple]
-    meeting: list[list[int]] = [[] for _ in range(m)]
-    for i, sup in enumerate(supports):
-        for k, _ in sup:
-            meeting[k].append(i)
 
     def pair_int(b, i: int) -> int:
         num = 2 * sum(b[k] * x for k, x in supports[i])
@@ -294,37 +305,57 @@ def build_root_system(t: SimpleType) -> RootSystem:
 
     cartan_int = tuple(tuple(pair_int(simple[j], i) for j in range(l)) for i in range(l))
 
-    # Reflection closure of the positive roots in integer arithmetic,
-    # carrying simple-root coordinates.  A positive root of height above one
-    # pairs positively with some alpha_i and s_i takes it to a positive root
-    # of smaller height, while s_i keeps every positive root but alpha_i
-    # positive; so closing the simple roots under the s_i that keep them
-    # positive reaches every positive root.  Only the alpha_i whose support
-    # meets beta's can pair with it nonzero.
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for i, a in enumerate(simple):
-        seen[a] = tuple(int(j == i) for j in range(l))
-    frontier = list(simple)
-    while frontier:
-        beta = frontier.pop()
-        coords = seen[beta]
-        near: set[int] = set()
-        for k in compress(range(m), beta):
-            near.update(meeting[k])
-        for i in near:
-            c = pair_int(beta, i)
-            if c == 0 or coords[i] < c:  # zero pairing, or s_i(alpha_i) < 0
-                continue
-            new = list(beta)
-            for k, x in supports[i]:
-                new[k] -= c * x
-            new = tuple(new)
-            if new not in seen:
-                seen[new] = coords[:i] + (coords[i] - c,) + coords[i + 1:]
-                frontier.append(new)
+    if plates:
+        # Bourbaki's plates I-IV: e_i - e_j (i < j), for B, C and D also
+        # e_i + e_j, and e_i for B, 2e_i for C.  With S_k the prefix sums of
+        # a root's e-coordinates x, c_k = S_k, but c_l = S_l / 2 for C, and
+        # c_{l-1} = (S_{l-1} - x_l) / 2, c_l = S_l / 2 for D.
+        signs = (-1,) if t.series == "A" else (-1, 1)
+        roots = [_basic(m, {i: 1, j: s}) for i, j in combinations(range(m), 2) for s in signs]
+        if t.series in "BC":
+            roots += [_basic(m, {i: 1 if t.series == "B" else 2}) for i in range(m)]
+        seen = {}
+        for r in roots:
+            c = list(accumulate(r[:l]))
+            if t.series == "C":
+                c[-1] //= 2
+            elif t.series == "D":
+                c[-2], c[-1] = (c[-2] - r[-1]) // 2, c[-1] // 2
+            seen[r] = tuple(c)
+    else:
+        # Reflection closure of the positive roots in integer arithmetic,
+        # carrying simple-root coordinates.  A positive root of height above
+        # one pairs positively with some alpha_i and s_i takes it to a
+        # positive root of smaller height, while s_i keeps every positive
+        # root but alpha_i positive; so closing the simple roots under the
+        # s_i that keep them positive reaches every positive root.  Only the
+        # alpha_i whose support meets beta's can pair with it nonzero.
+        meeting: list[list[int]] = [[] for _ in range(m)]
+        for i, sup in enumerate(supports):
+            for k, _ in sup:
+                meeting[k].append(i)
+        seen = {a: tuple(int(j == i) for j in range(l)) for i, a in enumerate(simple)}
+        frontier = list(simple)
+        while frontier:
+            beta = frontier.pop()
+            coords = seen[beta]
+            near: set[int] = set()
+            for k in compress(range(m), beta):
+                near.update(meeting[k])
+            for i in near:
+                c = pair_int(beta, i)
+                if c == 0 or coords[i] < c:  # zero pairing, or s_i(alpha_i) < 0
+                    continue
+                new = list(beta)
+                for k, x in supports[i]:
+                    new[k] -= c * x
+                new = tuple(new)
+                if new not in seen:
+                    seen[new] = coords[:i] + (coords[i] - c,) + coords[i + 1:]
+                    frontier.append(new)
     positive = tuple(sorted(seen))
     if 2 * len(positive) != t.dim - l:
-        raise ConstraintError("reflection closure produced the wrong number of roots")
+        raise ConstraintError(f"{t} realized with {len(positive)} positive roots")
     return RootSystem(
         stype=t,
         ambient_dim=m,

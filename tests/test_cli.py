@@ -213,6 +213,28 @@ def test_verify_all(capsys):
     assert elapsed < 10.0
 
 
+def test_verify_computes_each_k_once(monkeypatch):
+    from cartanspaces import rootsystems
+
+    calls, k_value = [], rootsystems.k_value
+
+    def counted(rs, long_root=None):
+        calls.append(rs.stype)
+        return k_value(rs, long_root)
+
+    monkeypatch.setattr(rootsystems, "k_value", counted)
+    rootsystems.build_root_system.cache_clear()
+    texts = []
+    for _ in range(2):
+        out = io.StringIO()
+        assert cmd_verify("all", out=out) == 0
+        texts.append((out.getvalue(), len(calls)))
+    (first, after_first), (second, after_second) = texts
+    assert after_first == len(set(calls)) > 0
+    assert after_second == after_first
+    assert first == second
+
+
 def test_verify_single_table(capsys):
     assert cmd_verify("T3.2") == 0
     out = capsys.readouterr().out

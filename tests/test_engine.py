@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -303,6 +304,21 @@ def test_twist_rejects_bad_input():
     p2 = pair_of(sl(8), sl(4), items=[HItem("sl", 5, (0,)), HItem("sl", 3, (1,))])
     with pytest.raises(ConstraintError):
         twist(p2, Twist((1, 0), (tuple(range(7)), tuple(range(3)))))  # non-isomorphic swap
+    d5 = pair_of(so(10), items=[HItem("so", 8, (0,))])
+    for perm in [(1, 0, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 3, 3), (0, 1, 2, 3, 5)]:
+        with pytest.raises(ConstraintError, match="is not a diagram symmetry of D5"):
+            twist(d5, Twist((0,), (perm,)))
+
+
+def test_twist_at_the_rank_ceiling():
+    # the node permutation is checked against the Cartan matrix, not looked
+    # up among all diagram symmetries, whose listing is O(l^4)
+    p = pair_of(so(256), items=[HItem("so", 200, (0,))])
+    fork = Twist((0,), (tuple(range(126)) + (127, 126),))
+    start = time.process_time()
+    res = twist(p, fork)
+    assert time.process_time() - start < 1.0
+    assert (res.rank, res.complexity) == (56, 1540)
 
 
 def test_additivity_block_concatenation():

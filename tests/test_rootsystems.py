@@ -190,11 +190,22 @@ def test_k_value_independent_of_long_root_choice():
         rs = build_root_system(t)
         long_sq = max(dot(r, r) for r in rs.roots)
         values = {k_value(rs, long_root=r) for r in rs.roots if dot(r, r) == long_sq}
-        assert values == {k_value(rs)}
+        assert values == {k_value(rs)} == {rs.k}
     with pytest.raises(ConstraintError):
         rs = build_root_system(SimpleType("B", 3))
         short = next(r for r in rs.roots if dot(r, r) == 1)
         k_value(rs, long_root=short)
+
+
+@pytest.mark.parametrize("t", [SimpleType(s, l) for s in "ABCD" for l in range(SERIES_MIN_RANK[s], 41)]
+                         + [SimpleType("D", 128), SimpleType("C", 128)], ids=str)
+def test_plate_roots_equal_the_reflection_closure(t):
+    # a classical type reads its positive roots and their simple-root
+    # coordinates off Bourbaki's plates; the closure from the simple roots
+    # must give the same system, every field in the same order
+    plates = rootsystems._realize(t, plates=True)
+    assert plates == rootsystems._realize(t, plates=False)
+    assert build_root_system.__wrapped__(t) == plates
 
 
 def test_weyl_dim_basic():
