@@ -42,7 +42,6 @@ from .indexes import (
     per_factor_index,
 )
 from .ratlinalg import (
-    LinearFunctional,
     RationalSubspace,
     annihilator_preimage,
     member,

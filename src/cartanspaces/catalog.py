@@ -20,7 +20,7 @@ import itertools
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from pathlib import Path
@@ -30,9 +30,9 @@ from . import exprs
 from .errors import CartanError, ConstraintError, ContractError, DimensionError, TableFormatError
 from .indexes import dynkin_index_of, module_index_complement_types
 from .ratlinalg import (
-    LinearFunctional,
     RationalSubspace,
     Vector,
+    dot,
     member,
     rref,
     span,
@@ -637,6 +637,11 @@ class ReductivePair:
                     f"central subspace ambient {self.center.ambient_dim}, expected {expected}"
                 )
 
+    def columns(self, f: int) -> range:
+        """The weight coordinates of factor f."""
+        start = sum(t.rank for t in self.factors[:f])
+        return range(start, start + self.factors[f].rank)
+
     def items_on_factor(self, f: int) -> tuple[HItem, ...]:
         return tuple(it for it in self.items if it.targets == (f,))
 
@@ -797,13 +802,9 @@ def match_t14(g_types: Sequence[SimpleType], items: Sequence[HItem]):
 def family_row_for_factor(g_type: SimpleType, items: Sequence[HItem]) -> RowInstance | None:
     """The central-extension family row covering one factor's items, if any,
     instantiated at the matched parameters (cached by the catalog)."""
-    local = tuple(sorted((_retarget(it, (0,)) for it in items),
+    local = tuple(sorted((replace(it, targets=(0,)) for it in items),
                          key=lambda it: (it.base, it.size or 0)))
     return get_catalog().family_row(g_type, local)
-
-
-def _retarget(item: HItem, targets: tuple[int, ...]) -> HItem:
-    return HItem(item.base, item.size, targets, item.diag_type)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,12 +1111,12 @@ def verify_entry(entry: CatalogEntry, params: dict) -> list[Check]:
                 "weight lies in the full space but not the saturated one"))
             # the duality functional solves, vanishes on the saturated space
             # and takes the stored value at the stored weight
-            fn = LinearFunctional(solve_alpha(inst))
-            ann = all(fn(b) == 0 for b in sat.basis)
+            fn = solve_alpha(inst)
+            ann = all(dot(fn, b) == 0 for b in sat.basis)
             checks.append(Check(
                 f"{entry.row_id} duality-functional contract at {params}",
-                ann and fn(lam) == inst.aux["alpha_value"],
-                f"value {fn(lam)} at the stored weight, annihilates saturated: {ann}"))
+                ann and dot(fn, lam) == inst.aux["alpha_value"],
+                f"value {dot(fn, lam)} at the stored weight, annihilates saturated: {ann}"))
     except CartanError as exc:
         checks.append(Check(f"{entry.row_id} {step} at {params}", False, str(exc)))
     return checks

@@ -6,12 +6,15 @@ table row, a central-extension family, or a trivially known case), and the
 space is assembled from the stored data.  Anything else is rejected with a
 precise reason; nothing is extrapolated.
 
-Pipeline: the pair splits into its indecomposable summands; each summand
-becomes a standalone pair (`decompose`) whose space is computed in that
-pair's own coordinates from the table rows found for it (`_row_answer`);
-one column map (`_moved`) places it in the whole pair's ambient, where the
-space is the block sum of the summands' spaces.  `row_result` answers the
-pair a row instance spells, without a search.
+Pipeline: one pass (`_summands`) splits the pair into its indecomposable
+summands and yields each as a standalone pair (the list `decompose`
+returns) with the pair's column behind each of its weight coordinates, its
+item positions and its central rows.  `_row_answer` computes a summand's
+space in its own coordinates from the table rows found for it, cutting a
+Table 1.6 space by the duality covectors of its central rows; `_assemble`
+puts each space into the pair's columns (`_moved`), where the space is the
+block sum.  `row_result` answers the pair a row instance spells, without a
+search.
 
 Coordinates: a pair with factors g_1,...,g_f and a c-dimensional central
 torus uses ambient Q^(rk g_1 + ... + rk g_f + c).  The first blocks are
@@ -24,12 +27,12 @@ the subalgebra live in the separate coordinate space
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import mul, neg
-from typing import Sequence
+from typing import Container, Sequence
 
 from .catalog import (
     CatalogEntry,
@@ -46,7 +49,6 @@ from .errors import (
     OutsideCatalogError,
 )
 from .ratlinalg import (
-    LinearFunctional,
     RationalSubspace,
     Vector,
     annihilator_preimage,
@@ -55,7 +57,7 @@ from .ratlinalg import (
     rref,  # not called here; benchmark/test_benchmark.py looks it up as engine.rref
     span,
 )
-from .rootsystems import CLASSICAL, build_root_system
+from .rootsystems import CLASSICAL, build_root_system, cartan_matrix
 
 
 @dataclass(frozen=True)
@@ -86,15 +88,10 @@ class CartanResult:
 # decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Summand:
-    factor_indices: tuple[int, ...]   # original factor positions, sorted
-    item_indices: tuple[int, ...]     # positions into pair.items
-    has_center_block: bool            # owns the z(g) coordinate block
-    center_rows: tuple[Vector, ...]   # rows of the central subspace (full z-coords)
-
-
-def _summands(pair: ReductivePair) -> list[_Summand]:
+def _summands(pair: ReductivePair):
+    """Yield each indecomposable summand of the pair: the standalone pair, the
+    pair's column behind each of its weight coordinates, the positions of its
+    items in `pair.items` and its central rows in the pair's coordinates."""
     nf = len(pair.factors)
     znode = nf  # single node for the whole central torus
     parent = list(range(nf + 1))
@@ -131,54 +128,37 @@ def _summands(pair: ReductivePair) -> list[_Summand]:
         groups[root[item.targets[0]]][1].append(i)
     for row, x in zip(rows, row_nodes):
         groups[root[x]][2].append(row)
-    return [_Summand(tuple(fs), tuple(its), r == root[znode], tuple(rs))
-            for r, (fs, its, rs) in groups.items()]
+    for r, (fs, its, rs) in groups.items():
+        new = {f: k for k, f in enumerate(fs)}
+        center_dim = pair.center_dim if r == root[znode] else 0
+        items = tuple(replace(pair.items[i], targets=tuple(new[t] for t in pair.items[i].targets))
+                      for i in its)
+        sub = ReductivePair(tuple(pair.factors[f] for f in fs), center_dim, items,
+                            _central_part(pair, rs, new, center_dim))
+        cols = [c for f in fs for c in pair.columns(f)]
+        cols += range(pair.rank_g, pair.rank_g + center_dim)
+        yield sub, cols, its, rs
 
 
-def _central_columns(pair: ReductivePair, sub: ReductivePair, factors: Sequence[int]) -> list[int]:
-    """The pair's central coordinate behind each central coordinate of `sub`:
-    the z(g) block, then the slot of each extendable factor of `sub`, whose
-    factor i is the pair's factor `factors[i]`."""
-    slots = list(pair.families)
-    return [*range(sub.center_dim),
-            *(pair.center_dim + slots.index(factors[f]) for f in sub.families)]
-
-
-def _summand_pair(pair: ReductivePair, s: _Summand) -> ReductivePair:
-    """Re-index a summand as a standalone pair."""
-    factor_map = {old: new for new, old in enumerate(s.factor_indices)}
-    items = tuple(
-        HItem(pair.items[i].base, pair.items[i].size,
-              tuple(factor_map[t] for t in pair.items[i].targets),
-              pair.items[i].diag_type)
-        for i in s.item_indices
-    )
-    center_dim = pair.center_dim if s.has_center_block else 0
-    sub = ReductivePair(tuple(pair.factors[i] for i in s.factor_indices),
-                        center_dim, items, None)
-    if not s.center_rows:
-        return sub
-    cols = _central_columns(pair, sub, s.factor_indices)
-    rows = [tuple(r[c] for c in cols) for r in s.center_rows]
-    return ReductivePair(sub.factors, center_dim, items, span(rows, len(cols)))
+def _central_part(pair: ReductivePair, rows: Sequence[Vector], factors: Container[int],
+                  center_dim: int) -> RationalSubspace | None:
+    """The span of central rows of `pair` on its first `center_dim` z(g)
+    coordinates and the slots of `factors`, in slot order; None for no rows."""
+    if not rows:
+        return None
+    cols = [*range(center_dim),
+            *(pair.center_dim + j for j, f in enumerate(pair.families) if f in factors)]
+    return span([[r[c] for c in cols] for r in rows], len(cols))
 
 
 def decompose(pair: ReductivePair) -> list[ReductivePair]:
     """Split a pair into its indecomposable direct summands."""
-    return [_summand_pair(pair, s) for s in _summands(pair)]
+    return [sub for sub, *_ in _summands(pair)]
 
 
 # ---------------------------------------------------------------------------
 # per-summand computation
 # ---------------------------------------------------------------------------
-
-def _factor_offsets(pair: ReductivePair) -> list[int]:
-    offs, acc = [], 0
-    for t in pair.factors:
-        offs.append(acc)
-        acc += t.rank
-    return offs
-
 
 def _moved(vectors: Sequence[Sequence], cols: Sequence[int], n: int) -> list[Vector]:
     """Each vector with its coordinate j put into column cols[j] of Q^n."""
@@ -197,21 +177,16 @@ def _row_str(inst: RowInstance) -> str:
     return inst.entry.row_id + (f"({params})" if params else "")
 
 
-def alpha_functional(entry: CatalogEntry, params: dict, scale=1) -> LinearFunctional:
+def alpha_functional(entry: CatalogEntry, params: dict, scale=1) -> Vector:
     """The duality functional of a central-extension family row, scaled.
 
-    Returns a functional on the family factor's fundamental-weight
-    coordinates; it vanishes on the row's saturated space and takes
-    scale * (stored value) at the stored weight.  Scale zero gives the zero
-    functional.
+    Returns the covector on the family factor's fundamental-weight
+    coordinates; its dot product vanishes on the row's saturated space and
+    is scale * (stored value) at the stored weight.
     """
     if entry.table != "T1.6":
         raise ConstraintError(f"{entry.row_id} is not a central-extension family row")
-    inst = instantiate(entry, params)
-    scale = Fraction(scale)
-    if scale == 0:
-        return LinearFunctional((Fraction(0),) * inst.ambient)
-    return LinearFunctional(tuple(scale * c for c in solve_alpha(inst)))
+    return tuple(Fraction(scale) * c for c in solve_alpha(instantiate(entry, params)))
 
 
 def _row_answer(sub: ReductivePair, insts: Sequence[RowInstance],
@@ -221,14 +196,9 @@ def _row_answer(sub: ReductivePair, insts: Sequence[RowInstance],
     per factor.  Returns spanning vectors in the pair's own coordinates, whether
     the items are essential (the central rows always are) and the trace."""
     n = sub.weight_ambient
-    offsets = _factor_offsets(sub)
-
-    def on(f: int, vectors) -> list[Vector]:
-        return _moved(vectors, range(offsets[f], offsets[f] + sub.factors[f].rank), n)
-
     if insts[0].entry.table == "T1.4":
         inst, = insts
-        cols = [offsets[perm[p]] + j for p, t in enumerate(inst.g_types) for j in range(t.rank)]
+        cols = [c for f in perm for c in sub.columns(f)]
         return _moved(inst.gens, cols, n), True, [_row_str(inst)]
     if sub.center is None:
         # bare members of central-extension families: the space is the full
@@ -239,7 +209,7 @@ def _row_answer(sub: ReductivePair, insts: Sequence[RowInstance],
             if full_sp.dim != sub.factors[f].rank:
                 raise InternalConsistencyError(
                     f"bare family member {inst.entry.row_id} does not span its block")
-            vectors += on(f, full_sp.basis)
+            vectors += _moved(full_sp.basis, sub.columns(f), n)
             trace.append(f"{_row_str(inst)} bare: full block, essential part collapses")
         return vectors, False, trace
     # every factor's items form one extension family, so every factor owns a
@@ -248,12 +218,12 @@ def _row_answer(sub: ReductivePair, insts: Sequence[RowInstance],
     space_vectors, sat_vectors, covectors = list(z0), [], list(z0)
     trace: list[str] = []
     for f, inst in enumerate(insts):
-        space_vectors += on(f, inst.aux["full"].basis)
-        sat_vectors += on(f, inst.aux["sat"].basis)
-        covectors += on(f, [solve_alpha(inst)])
+        space_vectors += _moved(inst.aux["full"].basis, sub.columns(f), n)
+        sat_vectors += _moved(inst.aux["sat"].basis, sub.columns(f), n)
+        covectors += _moved([solve_alpha(inst)], sub.columns(f), n)
         trace.append(f"{_row_str(inst)} with central part")
-    functionals = [LinearFunctional(combine(row, covectors, n)) for row in sub.center.basis]
-    result = annihilator_preimage(span(space_vectors, n), span(sat_vectors, n), functionals)
+    cuts = [combine(row, covectors, n) for row in sub.center.basis]
+    result = annihilator_preimage(span(space_vectors, n), span(sat_vectors, n), cuts)
     return list(result.basis), True, trace
 
 
@@ -297,21 +267,17 @@ def _summand_space(sub: ReductivePair,
 
 def _assemble(pair: ReductivePair) -> tuple[list[Vector], EssentialPart, list[str]]:
     """Every summand's vectors, the joined essential part and the trace."""
-    offsets = _factor_offsets(pair)
     vectors: list[Vector] = []
     indices: list[int] = []
     rows: list[Vector] = []
     trace: list[str] = []
-    for s in _summands(pair):
-        sub = _summand_pair(pair, s)
+    for sub, cols, item_indices, center_rows in _summands(pair):
         space, keeps_items, lines = _summand_space(
-            sub, [pair.items[i].describe() for i in s.item_indices])
-        cols = [offsets[f] + j for f in s.factor_indices for j in range(pair.factors[f].rank)]
-        cols += range(pair.rank_g, pair.rank_g + sub.center_dim)
+            sub, [pair.items[i].describe() for i in item_indices])
         vectors += _moved(space, cols, pair.weight_ambient)
         if keeps_items:
-            indices += s.item_indices
-        rows += s.center_rows
+            indices += item_indices
+        rows += center_rows
         trace += lines
     indices.sort()
     ess = EssentialPart(tuple(indices), tuple(pair.items[i] for i in indices), tuple(rows))
@@ -349,12 +315,10 @@ def essential_pair(pair: ReductivePair, ess: EssentialPart | None = None) -> Red
     """The essential part repackaged as a pair on the same ambient algebra."""
     ess = ess if ess is not None else essential_part(pair)
     items = tuple(pair.items[i] for i in ess.item_indices)
-    sub = ReductivePair(pair.factors, pair.center_dim, items, None)
-    if not ess.center_rows:
-        return sub
-    cols = _central_columns(pair, sub, range(len(pair.factors)))
-    center = span([tuple(r[c] for c in cols) for r in ess.center_rows], len(cols))
-    return ReductivePair(pair.factors, pair.center_dim, items, center)
+    # a summand keeps all its items or none: a factor with a kept item keeps its slot
+    kept = {t for it in items for t in it.targets}
+    return ReductivePair(pair.factors, pair.center_dim, items,
+                         _central_part(pair, ess.center_rows, kept, pair.center_dim))
 
 
 def levi_centralizer_dim(pair: ReductivePair, space: RationalSubspace) -> int:
@@ -371,12 +335,12 @@ def levi_centralizer_dim(pair: ReductivePair, space: RationalSubspace) -> int:
     """
     if space.ambient_dim != pair.weight_ambient:
         raise ConstraintError("space ambient does not match the pair's weight coordinates")
-    offsets = _factor_offsets(pair)
     fixed = 0
     for f, t in enumerate(pair.factors):
+        cols = pair.columns(f)
         blocks = []
         for b in space.basis:
-            block = b[offsets[f]: offsets[f] + t.rank]
+            block = b[cols.start: cols.stop]
             if any(block):
                 den = lcm(*(x.denominator for x in block))
                 blocks.append([x.numerator * (den // x.denominator) for x in block])
@@ -448,7 +412,7 @@ def _validate_twist(pair: ReductivePair, tw: Twist) -> None:
                 f"twist maps factor {pair.factors[i]} onto non-isomorphic {pair.factors[p]}")
         # checked directly: listing every symmetry (`diagram_automorphisms`) is O(l^4)
         perm, t = tw.node_perms[i], pair.factors[i]
-        C = build_root_system(t).cartan_matrix
+        C = cartan_matrix(t)
         if sorted(perm) != list(range(t.rank)) or any(
                 C[perm[a]][perm[b]] != C[a][b] for a in range(t.rank) for b in range(t.rank)):
             raise ConstraintError(f"node permutation {perm} is not a diagram symmetry of {t}")
@@ -466,9 +430,8 @@ def twist(pair: ReductivePair, tw: Twist) -> CartanResult:
     """The result for the twisted subalgebra: the space moves coordinatewise."""
     _validate_twist(pair, tw)
     base = cartan_space(pair)
-    offsets = _factor_offsets(pair)
     n = pair.weight_ambient
-    cols = [offsets[p] + node for p, nodes in zip(tw.factor_perm, tw.node_perms) for node in nodes]
+    cols = [pair.columns(p)[i] for p, nodes in zip(tw.factor_perm, tw.node_perms) for i in nodes]
     cols += range(pair.rank_g, n)
     space = span(_moved(base.space.basis, cols, n), n)
     notes = []

@@ -34,6 +34,7 @@ at fault.  Besides the rank ceiling of each factor, the weight ambient
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 from . import catalog as cat
@@ -201,8 +202,7 @@ class _Parser:
             if self.factors[t] != inst.g_types[p]:
                 self.err(at, f"{entry.row_id} needs {inst.g_types[p]} at position {p + 1}, "
                              f"factor {t + 1} is {self.factors[t]}")
-        return [HItem(it.base, it.size, tuple(targets[p] for p in it.targets), it.diag_type)
-                for it in inst.items]
+        return [replace(it, targets=tuple(targets[p] for p in it.targets)) for it in inst.items]
 
     def targets(self, sel: str | None, at: int, count: int) -> tuple[int, ...]:
         """The factors an item of `count` targets lives in: those its 'in'
@@ -283,11 +283,10 @@ def format_pair(pair: ReductivePair) -> str:
         if len(pair.factors) > 1 or len(it.targets) > 1:
             name += " in " + ",".join(str(t + 1) for t in it.targets)
         items.append(name)
-    text = pair.describe_g() + "/" + "+".join(items)
     if pair.center is not None:
         names = ([f"z0({j + 1})" for j in range(pair.center_dim)]
                  + [f"pi_v({inst.aux['zgen']})@{f + 1}" for f, inst in pair.families.items()])
         rows = ("+".join(name if x == 1 else f"{x}*{name}" for name, x in zip(names, row) if x)
                 for row in pair.center.basis)
-        text += "+z=[" + ";".join(rows) + "]"
-    return text
+        items.append("z=[" + ";".join(rows) + "]")
+    return pair.describe_g() + "/" + "+".join(items)

@@ -131,33 +131,23 @@ def _combination(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> tuple
     return v, den
 
 
-@dataclass(frozen=True)
-class LinearFunctional:
-    """A covector on the ambient space, evaluated by the dot product."""
-
-    coeffs: Vector
-
-    def __call__(self, v: Sequence) -> Fraction:
-        return dot(self.coeffs, vec(v))
-
-
 def annihilator_preimage(space: RationalSubspace, quotient_by: RationalSubspace,
-                         functionals: Sequence[LinearFunctional]) -> RationalSubspace:
-    """Cut `space` by the functionals, checking they respect the quotient.
+                         covectors: Sequence[Sequence]) -> RationalSubspace:
+    """Cut `space` by the covectors, checking they respect the quotient.
 
-    Returns {v in space : f(v) = 0 for all f}.  Each functional must vanish
-    on `quotient_by` (which must lie inside `space`); violation means the
-    stored table data feeding the functional is corrupt, so it raises
+    Returns {v in space : dot(f, v) = 0 for all f}.  Each covector must
+    vanish on `quotient_by` (which must lie inside `space`); violation means
+    the stored table data feeding the covector is corrupt, so it raises
     ContractError rather than returning a wrong space.
     """
     n = space.ambient_dim
     if not space.contains(quotient_by):
         raise ContractError("quotient subspace is not contained in the given space")
-    covectors = [r for _, r in _integral([f.coeffs for f in functionals], n)]
+    covectors = [r for _, r in _integral(covectors, n)]
     quotient = [r for _, r in _integral(quotient_by.basis, n)]
     if any(dot(f, b) for f in covectors for b in quotient):
         raise ContractError("functional does not annihilate the quotient subspace")
-    if not functionals or space.dim == 0:
+    if not covectors or space.dim == 0:
         return space
     basis = [r for _, r in _integral(space.basis, n)]
     rows = [[dot(f, b) for b in basis] for f in covectors]

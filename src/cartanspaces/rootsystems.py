@@ -33,17 +33,17 @@ from .ratlinalg import Vector, combine, dot, rref
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
-# Largest rank accepted for the classical series.  `compute` counts the
-# roots of a classical factor from e-coordinates and builds no root system:
-# at the ceiling `compute "so(257)/so(200)"` takes 0.18 s CPU with an 18 MB
-# peak, against 0.93 s and 51 MB when it built D128.  `verify` and `twist`
-# still build root systems, of about 2r^2 roots of length about r for B, C
-# and D, so the rank bounds their time and memory: D128 has 32512 roots,
-# read off the plates, and its build plus `k_value` takes 0.45 s CPU and
-# adds 32.8 MB to the peak after import (0.72 s and 32.7 MB by reflection
-# closure).  (The `compute` figures are CLI processes with import; Python
-# 3.11, one core of an Intel Xeon, at a speed where a loop of 39,999
-# `s += Fraction(i, i + 1)` takes 1.31 s CPU.)
+# Largest rank accepted for the classical series.  Neither `compute` nor
+# `twist` builds a classical root system: at the ceiling `compute
+# "so(257)/so(200)"` takes 0.18 s CPU with an 18 MB peak (0.93 s and 51 MB
+# when it built D128), and twisting `so(256)/so(200)` by the spin-node swap,
+# checked against `cartan_matrix`, takes 0.02-0.04 s (0.19 s and 33 MB more
+# when it built D128).  A root system built by name, as `verify` does at small sample
+# parameters, has about 2r^2 roots of length about r for B, C and D: D128
+# has 32512 roots, read off the plates, and its build plus `k_value` takes
+# 0.45 s CPU and adds 32.8 MB to the peak.  (`compute`: CLI processes with
+# import, the rest after import; Python 3.11, one core of an Intel Xeon,
+# where 39,999 `s += Fraction(i, i + 1)` take 1.31 s CPU, 1.09 s for `twist`.)
 RANK_CEILING = 128
 # Largest weight ambient of a pair (rank of g plus the dimension of its
 # center), since a pair may have many factors: at the ceiling,
@@ -281,6 +281,26 @@ def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in red]
 
 
+def _coroot_pairing(b, support: list[tuple[int, int]], norm: int) -> int:
+    """<b, alpha^vee> = 2(b, alpha)/(alpha, alpha) for the simple root alpha
+    with nonzero entries `support` and squared length `norm`."""
+    num = 2 * sum(b[k] * x for k, x in support)
+    if num % norm:
+        raise ConstraintError("non-integral pairing in realization")
+    return num // norm
+
+
+@lru_cache(maxsize=None)
+def cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix of t, <alpha_j, alpha_i^vee> in row i and column j,
+    from the simple roots alone; each pairing reads the nonzero entries of
+    alpha_i, since dense dot products over D128 take 0.2 s."""
+    _, simple = _simple_roots(t)
+    supports = [[(k, x) for k, x in enumerate(a) if x] for a in simple]
+    return tuple(tuple(_coroot_pairing(b, sup, sum(x * x for _, x in sup)) for b in simple)
+                 for sup in supports)
+
+
 @lru_cache(maxsize=None)
 def build_root_system(t: SimpleType) -> RootSystem:
     """Construct the root system of a simple type (cached, immutable)."""
@@ -296,14 +316,6 @@ def _realize(t: SimpleType, plates: bool) -> RootSystem:
     norms = tuple(sum(x * x for x in a) for a in simple)
     # nonzero entries of each simple root; classical ones have at most two
     supports = [[(k, x) for k, x in enumerate(a) if x] for a in simple]
-
-    def pair_int(b, i: int) -> int:
-        num = 2 * sum(b[k] * x for k, x in supports[i])
-        if num % norms[i]:
-            raise ConstraintError("non-integral pairing in realization")
-        return num // norms[i]
-
-    cartan_int = tuple(tuple(pair_int(simple[j], i) for j in range(l)) for i in range(l))
 
     if plates:
         # Bourbaki's plates I-IV: e_i - e_j (i < j), for B, C and D also
@@ -343,7 +355,7 @@ def _realize(t: SimpleType, plates: bool) -> RootSystem:
             for k in compress(range(m), beta):
                 near.update(meeting[k])
             for i in near:
-                c = pair_int(beta, i)
+                c = _coroot_pairing(beta, supports[i], norms[i])
                 if c == 0 or coords[i] < c:  # zero pairing, or s_i(alpha_i) < 0
                     continue
                 new = list(beta)
@@ -363,7 +375,7 @@ def _realize(t: SimpleType, plates: bool) -> RootSystem:
         positive_roots=positive,
         positive_coords=tuple(seen[r] for r in positive),
         simple_norms=norms,
-        cartan_matrix=cartan_int,
+        cartan_matrix=cartan_matrix(t),
     )
 
 

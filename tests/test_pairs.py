@@ -333,6 +333,8 @@ PRODUCTIONS = [
     "sl(7)/sl(4)+sl(3)+z=[-pi_v(3)]",
     "sl(5)+center(1)/sl(3)+z=[z0(1)+3/2*pi_v(2)@1;-2*z0(1)]",
     "sl(5)+sl(5)/sl(3) in 1+sl(3) in 2+z=[pi_v(2)@1;pi_v(2)@2]",
+    "center(1)/z=[z0(1)]",                              # central part, no items
+    "sl(3)+center(1)/z=[z0(1)]",
 ]
 NEW_REFUSALS = r"(second|zero) central part z=\[\.\.\.\]|'in [^']*' names a factor twice"
 ALPHABET = "()[]+/,;*@=-:._ 0123456789abcdeglnoprstvzABCDEFGT\t\n" + "\u0663\u017f\u0130\u00b2"
