@@ -33,6 +33,7 @@ from .ratlinalg import (
     RationalSubspace,
     Vector,
     dot,
+    kernel_basis,
     member,
     rref,
     span,
@@ -350,7 +351,7 @@ _FIELDS = {
     "table": str, "row": str,
     "g": parse_g_pattern, "h": parse_h_pattern, "constraint": _relations,
     "gens": parse_weight_groups, "lam": parse_weight_groups,
-    "full": parse_weight_groups, "sat": parse_weight_groups,
+    "sat": parse_weight_groups,
     "zgen": _expression, "alpha": _expression, "kform": _expression, "module": str,
     "norm": _parse_norm, "mods": _parse_mods, "ideals": _parse_ideals, "exhaustive": _flag,
 }
@@ -358,7 +359,7 @@ _FIELDS = {
 # The fields each table's rows must carry, then those they may carry.
 _ROW_FIELDS = {
     "T1.4": ("g h gens", "constraint"),
-    "T1.6": ("g h zgen lam alpha full sat", "constraint"),
+    "T1.6": ("g h zgen lam alpha sat", "constraint"),
     "T3.2": ("g kform", ""),
     "T3.4": ("g h", "constraint"),
     "T3.6": ("g h", "constraint"),
@@ -455,15 +456,31 @@ class Catalog:
         self._rows: dict[str, list[CatalogEntry]] = {}
         for (table, _), entry in sorted(self.entries.items()):
             self._rows.setdefault(table, []).append(entry)
-        # family rows by (factor, items), instantiated once for this catalog
+        # by (factor, items), once for this catalog: a(g, h), and the family row
+        # once its sat and lam are checked to split a(g, h) as hyperplane + weight
         self.family_row = lru_cache(maxsize=4096)(self._family_row)
+        self.bare_space = lru_cache(maxsize=4096)(self._bare_space)
 
     def _family_row(self, g_type: SimpleType, local: tuple[HItem, ...]) -> RowInstance | None:
         for entry in self.rows("T1.6"):
             res = match_row(entry, [g_type], list(local))
             if res is not None:
-                return instantiate(entry, res[0])
+                inst = instantiate(entry, res[0])
+                sat, lam = inst.aux["sat"], inst.aux["lam"]
+                full = self.bare_space(g_type, inst.items)
+                if member(sat, lam) or span([*sat.basis, lam], full.ambient_dim) != full:
+                    raise ContractError(f"{entry.row_id} at {res[0]}: sat and lam do not split "
+                                        "a(g, h) into a hyperplane and a weight off it")
+                return inst
         return None
+
+    def _bare_space(self, g_type: SimpleType, items: tuple[HItem, ...]) -> RationalSubspace:
+        """a(g, h) of a one-factor pair: its T1.4 row's space, else the whole weight block."""
+        for entry in self.rows("T1.4"):
+            res = match_row(entry, [g_type], list(items))
+            if res is not None:
+                return span(instantiate(entry, res[0]).gens, g_type.rank)
+        return span(kernel_basis([], g_type.rank), g_type.rank)
 
     @staticmethod
     def _build_entry(rec: dict[str, str]) -> CatalogEntry:
@@ -648,7 +665,7 @@ class ReductivePair:
     @cached_property
     def families(self) -> dict[int, RowInstance]:
         """Each factor admitting a one-dimensional central extension, in factor
-        order, with its T1.6 row instance.
+        order, with its T1.6 row instance (checked: `Catalog.family_row`).
 
         A factor owns a central coordinate exactly when the items living on
         it (and only on it) form a central-extension family row.
@@ -853,7 +870,6 @@ def instantiate(entry: CatalogEntry, params: dict) -> RowInstance:
     if entry.table == "T1.6":
         rank = g_types[0].rank
         aux.update(
-            full=span(instantiate_weight_groups(entry.aux["full"], params, g_types), rank),
             sat=span(instantiate_weight_groups(entry.aux["sat"], params, g_types), rank),
             lam=instantiate_weight_groups(entry.aux["lam"], params, g_types)[0],
             alpha_value=exprs.evaluate(entry.aux["alpha"], params),
@@ -875,11 +891,11 @@ def solve_alpha(inst: RowInstance) -> Vector:
 
     The functional is pinned by vanishing on the saturated space and taking
     the stored value at the stored weight; coefficients are restricted to
-    the pivot coordinates of the full space so the solution is unique and
+    the pivot coordinates of the span of both, so the solution is unique and
     deterministic.
     """
     lam = inst.aux["lam"]
-    pivots = [next(i for i, x in enumerate(b) if x != 0) for b in inst.aux["full"].basis]
+    _, pivots = rref([*inst.aux["sat"].basis, lam], inst.ambient)
     eqs = [[b[p] for p in pivots] + [Fraction(0)] for b in inst.aux["sat"].basis]
     eqs.append([lam[p] for p in pivots] + [Fraction(inst.aux["alpha_value"])])
     red, piv = rref(eqs, len(pivots) + 1)
@@ -1098,7 +1114,7 @@ def verify_entry(entry: CatalogEntry, params: dict) -> list[Check]:
                 f"dim g = {dim_g}, normalizer {dim_norm} + modules {dim_mods}"))
 
         if entry.table == "T1.6":
-            full: RationalSubspace = inst.aux["full"]
+            full = get_catalog().bare_space(inst.g_types[0], inst.items)
             sat: RationalSubspace = inst.aux["sat"]
             lam = inst.aux["lam"]
             checks.append(Check(

@@ -87,6 +87,9 @@ def cmd_compute(expr: str, as_json: bool = False, bourbaki: bool = False, out=No
     except PairSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    except CartanError as exc:  # a table fault met while reading the central part
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         result = engine.cartan_space(pair)
     except OutsideCatalogError as exc:
@@ -165,8 +168,9 @@ def survey_pairs(max_rank: int):
             try:
                 inst = instantiate(entry, params)
                 result = engine.row_result(inst)
-            except CartanError as exc:
-                raise TableFormatError(f"{entry.row_id} at {params}: {exc}") from exc
+            except CartanError as exc:  # naming the row once, if the error names it too
+                at = f"{entry.row_id} at {params}: "
+                raise TableFormatError(at + str(exc).removeprefix(at)) from exc
             key = (entry.table, int(entry.row), tuple(sorted(params.items())))
             seen.append((key, inst.pair, result))
     seen.sort(key=lambda x: x[0])

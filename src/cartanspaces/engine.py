@@ -10,11 +10,12 @@ Pipeline: one pass (`_summands`) splits the pair into its indecomposable
 summands and yields each as a standalone pair (the list `decompose`
 returns) with the pair's column behind each of its weight coordinates, its
 item positions and its central rows.  `_row_answer` computes a summand's
-space in its own coordinates from the table rows found for it, cutting a
-Table 1.6 space by the duality covectors of its central rows; `_assemble`
-puts each space into the pair's columns (`_moved`), where the space is the
-block sum.  `row_result` answers the pair a row instance spells, without a
-search.
+space in its own coordinates from the table rows found for it.  A Table 1.6
+summand is cut in the quotient a(g,h)/sat: its space is every saturated
+space plus the combinations of the z0 and lam directions that its central
+rows annihilate, read off the duality values.  `_assemble` puts each space
+into the pair's columns (`_moved`), where the space is the block sum.
+`row_result` answers the pair a row instance spells, without a search.
 
 Coordinates: a pair with factors g_1,...,g_f and a c-dimensional central
 torus uses ambient Q^(rk g_1 + ... + rk g_f + c).  The first blocks are
@@ -51,7 +52,6 @@ from .errors import (
 from .ratlinalg import (
     RationalSubspace,
     Vector,
-    annihilator_preimage,
     combine,
     kernel_basis,
     rref,  # not called here; benchmark/test_benchmark.py looks it up as engine.rref
@@ -178,12 +178,7 @@ def _row_str(inst: RowInstance) -> str:
 
 
 def alpha_functional(entry: CatalogEntry, params: dict, scale=1) -> Vector:
-    """The duality functional of a central-extension family row, scaled.
-
-    Returns the covector on the family factor's fundamental-weight
-    coordinates; its dot product vanishes on the row's saturated space and
-    is scale * (stored value) at the stored weight.
-    """
+    """A family row's duality covector, scaled; kept for benchmark/tracer.py and the tests."""
     if entry.table != "T1.6":
         raise ConstraintError(f"{entry.row_id} is not a central-extension family row")
     return tuple(Fraction(scale) * c for c in solve_alpha(instantiate(entry, params)))
@@ -200,31 +195,24 @@ def _row_answer(sub: ReductivePair, insts: Sequence[RowInstance],
         inst, = insts
         cols = [c for f in perm for c in sub.columns(f)]
         return _moved(inst.gens, cols, n), True, [_row_str(inst)]
+    # one family row per factor, the slots in factor order.  f's duality
+    # functional vanishes on sat_f and takes alpha_f at lam_f, and sat_f and
+    # lam_f span a(g_f, h_f), so the space is every sat_f plus the z0 and
+    # lam_f combinations the central rows annihilate (all of them when bare)
+    cd = sub.center_dim
+    cut = [[*row[:cd], *(x * inst.aux["alpha_value"] for x, inst in zip(row[cd:], insts))]
+           for row in (sub.center.basis if sub.center else ())]
+    directions, vectors = _moved(kernel_basis([], cd), range(sub.rank_g, n), n), []
+    for f, inst in enumerate(insts):
+        directions += _moved([inst.aux["lam"]], sub.columns(f), n)
+        vectors += _moved(inst.aux["sat"].basis, sub.columns(f), n)
+    vectors += [combine(t, directions, n) for t in kernel_basis(cut, len(directions))]
     if sub.center is None:
         # bare members of central-extension families: the space is the full
         # weight block and the essential part collapses to zero
-        vectors, trace = [], []
-        for f, inst in enumerate(insts):
-            full_sp: RationalSubspace = inst.aux["full"]
-            if full_sp.dim != sub.factors[f].rank:
-                raise InternalConsistencyError(
-                    f"bare family member {inst.entry.row_id} does not span its block")
-            vectors += _moved(full_sp.basis, sub.columns(f), n)
-            trace.append(f"{_row_str(inst)} bare: full block, essential part collapses")
-        return vectors, False, trace
-    # every factor's items form one extension family, so every factor owns a
-    # slot and the slots run in factor order
-    z0 = _moved(kernel_basis([], sub.center_dim), range(sub.rank_g, n), n)
-    space_vectors, sat_vectors, covectors = list(z0), [], list(z0)
-    trace: list[str] = []
-    for f, inst in enumerate(insts):
-        space_vectors += _moved(inst.aux["full"].basis, sub.columns(f), n)
-        sat_vectors += _moved(inst.aux["sat"].basis, sub.columns(f), n)
-        covectors += _moved([solve_alpha(inst)], sub.columns(f), n)
-        trace.append(f"{_row_str(inst)} with central part")
-    cuts = [combine(row, covectors, n) for row in sub.center.basis]
-    result = annihilator_preimage(span(space_vectors, n), span(sat_vectors, n), cuts)
-    return list(result.basis), True, trace
+        return vectors, False, [f"{_row_str(inst)} bare: full block, essential part collapses"
+                                for inst in insts]
+    return vectors, True, [f"{_row_str(inst)} with central part" for inst in insts]
 
 
 def _summand_space(sub: ReductivePair,

@@ -276,7 +276,10 @@ def parse_pair(text: str) -> ReductivePair:
 
 
 def format_pair(pair: ReductivePair) -> str:
-    """Canonical textual form; parsing it back gives an equal pair."""
+    """Canonical textual form; parsing it back gives an equal pair.  The
+    grammar has no text for the zero subalgebra: ConstraintError."""
+    if not pair.items and pair.center is None:
+        raise ConstraintError(f"no pair text for the zero subalgebra of {pair.describe_g()}")
     items = []
     for it in pair.items:
         name = it.describe().split("@")[0]

@@ -133,13 +133,7 @@ def _combination(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> tuple
 
 def annihilator_preimage(space: RationalSubspace, quotient_by: RationalSubspace,
                          covectors: Sequence[Sequence]) -> RationalSubspace:
-    """Cut `space` by the covectors, checking they respect the quotient.
-
-    Returns {v in space : dot(f, v) = 0 for all f}.  Each covector must
-    vanish on `quotient_by` (which must lie inside `space`); violation means
-    the stored table data feeding the covector is corrupt, so it raises
-    ContractError rather than returning a wrong space.
-    """
+    """`space` cut by covectors vanishing on `quotient_by`; for benchmark/tracer.py and tests."""
     n = space.ambient_dim
     if not space.contains(quotient_by):
         raise ContractError("quotient subspace is not contained in the given space")

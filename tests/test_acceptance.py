@@ -181,7 +181,8 @@ def test_criterion_7_center_cut_construction():
     inst = instantiate(e, {"n": 5, "k": 3})
     rb = cartan_space(cases[0][0])
     rs_ = cartan_space(cases[0][1])
-    assert rb.space == span(inst.aux["full"].basis, 4)
+    full = get_catalog().bare_space(inst.g_types[0], inst.items)
+    assert rb.space == span(full.basis, 4)
     assert rs_.space == span(inst.aux["sat"].basis, 4)
     _report(7, "central cuts: dimension drop equals central dimension, "
                "endpoints reproduce the commutant and saturated spaces")
@@ -281,7 +282,8 @@ def test_criterion_9_property_suites():
         tried = [base, shifted_params(entry, base, 2), shifted_params(entry, base, 4)]
         for params in tried:
             inst = instantiate(entry, params)
-            assert inst.aux["full"].dim == inst.aux["sat"].dim + 1
+            full = get_catalog().bare_space(inst.g_types[0], inst.items)
+            assert full.dim == inst.aux["sat"].dim + 1
             bare = cartan_space(ReductivePair(inst.g_types, 0, inst.items, None))
             saturated = cartan_space(
                 ReductivePair(inst.g_types, 0, inst.items, span([[1]], 1)))

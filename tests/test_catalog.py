@@ -148,6 +148,9 @@ def _copy_tables(tmp_path, old: str = "", new: str = "", name: str = "t14.tbl"):
     # the saturated space is a weight list and the Dynkin index is not stored
     ("t16.tbl", 'sat="pi(i)+pi(n-i) : i=1..n-k | pi(1)+pi(i)+pi(n-i-1) : i=1..n-k-1"',
      'cut="c(i)=i : i=1..n-k | c(n-i)=-i : i=1..n-k"', "t16.tbl:8: unknown field 'cut'"),
+    # a(g, h) is read off T1.4, so a row that still stores it fails the load
+    ("t16.tbl", 'sat="pi(1)+pi(5) | pi(6)"',
+     'full="pi(1) | pi(5) | pi(6)" sat="pi(1)+pi(5) | pi(6)"', "t16.tbl:12: unknown field 'full'"),
     ("t36.tbl", 'constraint="n>=2"', 'constraint="n>=2" idx=1', "t36.tbl:5: unknown field 'idx'"),
     ("t14.tbl", 'gens="pi(3)"', 'gens="pi(3)" idx=1', "t14.tbl:20: unknown field 'idx'"),
     ("t32.tbl", 'kform="16"', 'kform="16" kform="17"', "t32.tbl:11: field 'kform' given twice"),
@@ -216,6 +219,34 @@ def test_misspelt_field_is_not_answered(tmp_path, monkeypatch, capsys):
                  ["compute", "sl(5)/sl(3)+z=[pi_v(2)]"], ["compute", "sl(6)/T1.4:3(n=3)"]):
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: t14.tbl:8: unknown field 'constriant'\n"
+
+
+@pytest.mark.parametrize("old, new, text, at, survey_at, verify_fails", [
+    # lam in sat
+    ('lam="pi(1)"       alpha="4/3"', 'lam="pi(6)"       alpha="4/3"',
+     "E6/so(10)+z=[pi_v(1)]", "T1.6:5 at {}", "T1.6:5 at {}", True),
+    # sat of codimension 2 in a(g, h) wherever the dropped group is nonempty.  verify
+    # cannot see it: the group is empty at both of T1.6:1's sample parameter sets
+    # (n, k) = (3, 2) and (5, 4), which ROADMAP item 8 would widen
+    (" | pi(1)+pi(i)+pi(n-i-1) : i=1..n-k-1", "", "sl(7)/sl(4)+z=[pi_v(3)]",
+     "T1.6:1 at {'k': 4, 'n': 7}", "T1.6:1 at {'k': 3, 'n': 5}", False),
+    # sat not inside a(g, h), which T1.4:10 gives
+    ('sat="pi(2*i) : i=1..n-1 |', 'sat="pi(1) | pi(2*i) : i=1..n-1 |',
+     "so(10)/sl(5)+z=[pi_v(5)]", "T1.6:4 at {'n': 2}", "T1.6:4 at {'n': 2}", True),
+], ids=["lam-in-sat", "sat-too-small", "sat-outside-full"])
+def test_planted_family_row_faults_are_contract_errors(tmp_path, monkeypatch, capsys, old, new,
+                                                       text, at, survey_at, verify_fails):
+    # sat and lam must split a(g, h), read off T1.4, into a hyperplane and a
+    # weight off it; each fault is refused where the row is first used
+    contract = "sat and lam do not split a(g, h) into a hyperplane and a weight off it"
+    _copy_tables(tmp_path, old, new, "t16.tbl")
+    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    assert main(["compute", text]) == 1
+    assert capsys.readouterr().err == f"error: {at}: {contract}\n"
+    assert main(["survey", "--max-rank", "12"]) == 1
+    # the survey names the row once
+    assert capsys.readouterr().err == f"error: {survey_at}: {contract}\n"
+    assert main(["verify", "T1.6"]) == (1 if verify_fails else 0)
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -435,7 +466,7 @@ def test_weight_ambient_is_bounded():
 
 
 # T1.6:1 and T1.6:3 once stored their saturated spaces as the kernel in
-# `full` of these functionals: integer coefficients on the pi-coordinates
+# a(g, h) of these functionals: integer coefficients on the pi-coordinates
 _FORMER_CUTS = {
     "1": lambda n, k: {**{i: i for i in range(1, n - k + 1)},
                        **{n - i: -i for i in range(1, n - k + 1)}},
@@ -450,7 +481,7 @@ def test_saturated_lists_equal_the_former_cuts():
         entry = lookup("T1.6", row)
         for params in admissible_params(entry, 40):
             inst = instantiate(entry, params)
-            full, sat = inst.aux["full"], inst.aux["sat"]
+            full, sat = get_catalog().bare_space(inst.g_types[0], inst.items), inst.aux["sat"]
             at = coeffs(**params)
             cut = [at.get(i, 0) for i in range(1, inst.ambient + 1)]
             assert full.contains(sat) and sat.dim == full.dim - 1, (row, params)

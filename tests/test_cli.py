@@ -307,6 +307,19 @@ def test_a_row_that_fails_at_an_admissible_parameter_exits_1(tmp_path, monkeypat
     assert capsys.readouterr().err == "error: weight index 7 out of range for factor B6\n"
 
 
+def test_a_table_fault_met_while_parsing_exits_1(tmp_path, monkeypatch, capsys):
+    # the central part reads the factor's T1.6 row while the pair is parsed;
+    # a weight index past the factor's rank is the table's fault, not a traceback
+    for f in get_catalog().data_dir.iterdir():
+        (tmp_path / f.name).write_text(f.read_text())
+    t16 = tmp_path / "t16.tbl"
+    t16.write_text(t16.read_text().replace('sat="pi(i)+pi(n-i) : i=1..n-k |',
+                                           'sat="pi(i)+pi(n+3-i) : i=1..n-k |'))
+    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    assert cmd_compute("sl(7)/sl(4)+z=[pi_v(3)]", out=io.StringIO()) == 1
+    assert capsys.readouterr().err == "error: weight index 9 out of range for factor A6\n"
+
+
 @pytest.mark.parametrize("table, name, old, new, failed", [
     # an embedding that `indexes` has no Dynkin index for
     ("T3.4", "t34.tbl", "g=sp(2*n) h=sp(2*k)", "g=sp(2*n) h=so(2*k)", [

@@ -3,7 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from cartanspaces.catalog import HItem, ReductivePair, lookup
+from cartanspaces.catalog import HItem, ReductivePair, get_catalog, lookup, solve_alpha
+from cartanspaces.cli import parse_pair, survey_pairs
 from cartanspaces.engine import (
     Twist,
     alpha_functional,
@@ -15,7 +16,7 @@ from cartanspaces.engine import (
     twist,
 )
 from cartanspaces.errors import CartanError, ConstraintError, OutsideCatalogError
-from cartanspaces.ratlinalg import dot, member, span, vec
+from cartanspaces.ratlinalg import annihilator_preimage, combine, dot, member, span, vec
 from cartanspaces.rootsystems import SimpleType, build_root_system, sl, so, sp
 
 
@@ -127,6 +128,54 @@ def test_center_through_ambient_torus():
     # full block is 4 + 1 central coordinate; one cut
     assert res.rank == 4
     assert res.space.ambient_dim == 5
+
+
+def _former_cut(pair: ReductivePair):
+    """The space of a central pair whose every factor carries a family row,
+    cut as it once was: a(g_f, h_f) of each factor (from T1.4) plus the z0
+    block, cut in the whole weight ambient by the duality covectors of the
+    central rows, and checked to contain every saturated space."""
+    n, cd = pair.weight_ambient, pair.center_dim
+    assert list(pair.families) == list(range(len(pair.factors)))
+
+    def moved(vectors, cols):
+        return [tuple(dict(zip(cols, v)).get(c, 0) for c in range(n)) for v in vectors]
+
+    z0 = moved([[int(i == j) for i in range(cd)] for j in range(cd)], range(pair.rank_g, n))
+    space, sat, covectors = list(z0), [], list(z0)
+    for f, inst in pair.families.items():
+        full = get_catalog().bare_space(inst.g_types[0], inst.items)
+        space += moved(full.basis, pair.columns(f))
+        sat += moved(inst.aux["sat"].basis, pair.columns(f))
+        covectors += moved([solve_alpha(inst)], pair.columns(f))
+    cuts = [combine(row, covectors, n) for row in pair.center.basis]
+    return annihilator_preimage(span(space, n), span(sat, n), cuts)
+
+
+_CENTRAL_TEXTS = [
+    "sl(9)+sl(9)/sl(6) in 1+sl(6) in 2+z=[pi_v(3)@1;pi_v(3)@2]",
+    "sl(9)+sl(9)/sl(6) in 1+sl(6) in 2+z=[pi_v(3)@1+-1*pi_v(3)@2]",
+    "sl(12)+sl(7)+center(1)/sl(7) in 1+sp(6) in 2+z=[pi_v(5)@1+z0(1);pi_v(1)@2+-2*z0(1)]",
+    "sl(5)+center(1)/sl(3)+z=[z0(1)+pi_v(2)]",
+    "sl(5)+center(2)/sl(3)+z=[z0(1)+pi_v(2);z0(2)]",
+    "sl(7)+center(1)/sl(4)+sl(3)+z=[2*z0(1)+pi_v(3)]",
+    "E6+center(2)/so(10)+z=[z0(1)+z0(2)+3/4*pi_v(1)]",
+    "so(10)+E6/sl(5) in 1+so(10) in 2+z=[pi_v(5)@1+3/2*pi_v(1)@2]",
+    "sl(7)+sl(11)/sl(4) in 1+sl(3) in 1+sl(6) in 2+sl(5) in 2+z=[pi_v(3)@1+-1*pi_v(5)@2]",
+    "sl(11)+sl(11)+center(1)/sp(10) in 1+sl(7) in 2+z=[pi_v(1)@1+pi_v(4)@2+z0(1)]",
+    "so(14)+so(10)/sl(7) in 1+sl(5) in 2+z=[pi_v(7)@1;pi_v(5)@2]",
+    "sl(5)+sl(5)+sl(5)/sl(3) in 1+sl(3) in 2+sl(3) in 3+z=[pi_v(2)@1+pi_v(2)@2+pi_v(2)@3]",
+]
+
+
+def test_central_answers_equal_the_former_cut():
+    # the engine answers in the quotient a(g, h)/sat, on the z0 and lam
+    # directions; the dense cut in the whole ambient stays the reference
+    pairs = [pair for (table, _, _), pair, _ in survey_pairs(12) if table == "T1.6"]
+    assert len(pairs) == 72
+    pairs += [parse_pair(text) for text in _CENTRAL_TEXTS]
+    for pair in pairs:
+        assert cartan_space(pair).space == _former_cut(pair), pair
 
 
 def test_alpha_functional_values():

@@ -419,8 +419,8 @@ def test_fuzzed_texts_agree_with_the_reference(fuzzed):
             # one factor twice (it built an item the tables never match)
             if reference != "refused" and re.match(NEW_REFUSALS, str(exc)):
                 continue
-        # anything else, a CartanError included, escapes: the CLI catches
-        # only PairSyntaxError around parsing
+        # anything else, a CartanError included, escapes: the CLI reads it as
+        # a table fault, not as an input error
         assert new == reference, text
         if new != "refused":
             accepted += 1
@@ -429,6 +429,21 @@ def test_fuzzed_texts_agree_with_the_reference(fuzzed):
     elapsed = time.process_time() - start
     assert 1000 < accepted < len(fuzzed) - 1000, accepted   # both kinds are exercised
     assert elapsed < 3.0, elapsed
+
+
+def test_zero_subalgebra_has_no_text():
+    # `cartan_space` answers such a pair, but no text parses to it, so
+    # `format_pair` refuses rather than write one that does not parse back
+    for pair, name in [(ReductivePair((sl(3),)), "sl(3)"),
+                       (ReductivePair((sl(3),), 1), "sl(3)+center(1)")]:
+        with pytest.raises(ConstraintError) as err:
+            format_pair(pair)
+        assert str(err.value) == f"no pair text for the zero subalgebra of {name}"
+    with pytest.raises(PairSyntaxError, match="empty subalgebra part"):
+        parse_pair("sl(3)/")
+    # with a central part and no items the subalgebra is not zero
+    pair = ReductivePair((), 1, (), span([[1]], 1))
+    assert parse_pair(format_pair(pair)) == pair
 
 
 def test_second_or_zero_central_part_is_refused():
