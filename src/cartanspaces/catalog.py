@@ -356,7 +356,8 @@ _FIELDS = {
     "norm": _parse_norm, "mods": _parse_mods, "ideals": _parse_ideals, "exhaustive": _flag,
 }
 
-# The fields each table's rows must carry, then those they may carry.
+# The fields each table's rows must carry, then those they may carry.  A
+# T4.8 row takes g, h and constraint from the T3.6 row of its number.
 _ROW_FIELDS = {
     "T1.4": ("g h gens", "constraint"),
     "T1.6": ("g h zgen lam alpha sat", "constraint"),
@@ -364,7 +365,7 @@ _ROW_FIELDS = {
     "T3.4": ("g h", "constraint"),
     "T3.6": ("g h", "constraint"),
     "T3.7": ("g h module", "constraint"),
-    "T4.8": ("g norm mods ideals", "constraint exhaustive"),
+    "T4.8": ("norm mods ideals", "exhaustive"),
 }
 
 
@@ -482,8 +483,7 @@ class Catalog:
                 return span(instantiate(entry, res[0]).gens, g_type.rank)
         return span(kernel_basis([], g_type.rank), g_type.rank)
 
-    @staticmethod
-    def _build_entry(rec: dict[str, str]) -> CatalogEntry:
+    def _build_entry(self, rec: dict[str, str]) -> CatalogEntry:
         table = rec.get("table")
         if table not in _ROW_FIELDS or "row" not in rec:
             raise TableFormatError(f"record needs a known table= and a row=, got {table!r}")
@@ -496,6 +496,11 @@ class Catalog:
             if name not in rec:
                 raise TableFormatError(f"{table} row needs field {name!r}")
         aux = {key: _FIELDS[key](text) for key, text in rec.items()}
+        if table == "T4.8":  # loaded after T3.6 (TABLE_FILES)
+            t36 = self.entries.get(("T3.6", aux["row"]))
+            if t36 is None:
+                raise TableFormatError(f"T4.8 row {aux['row']} has no T3.6 row")
+            aux.update(g=t36.g_pattern, h=t36.h_pattern, constraint=t36.constraints)
         entry = CatalogEntry(aux.pop("table"), aux.pop("row"), aux.pop("g"), aux.pop("h", ()),
                              aux.pop("constraint", ()), aux.pop("gens", ()), aux)
         # factor numbers are 1-based: item targets count the factors of g,
@@ -909,50 +914,36 @@ def solve_alpha(inst: RowInstance) -> Vector:
 
 # --- normalizer factors and module summands (T4.8) -------------------------
 
-@dataclass(frozen=True)
-class NormFactor:
-    base: str          # 'sl' | 'so' | 'sp' | exceptional name
-    size: int | None   # matrix size for the classical bases
-
-    @property
-    def dim(self) -> int:
-        if self.size is not None:
-            return size_dim(self.base, self.size)
-        return algebra(self.base).dim
-
-    @property
-    def tau_dim(self) -> int:
-        if self.size is None:
-            raise TableFormatError(f"no tautological module size for {self.base!r}")
-        return self.size
-
-
-def _instantiate_norm(patterns, params: dict) -> tuple[tuple[NormFactor, ...], int]:
-    """The simple normalizer factors at `params`, and the torus dimension."""
-    simple = tuple(NormFactor(tp.base, None if tp.arg is None
-                              else exprs.evaluate_int(tp.arg, params))
+def _instantiate_norm(patterns, params: dict) -> tuple[tuple[tuple[str, int | None], ...], int]:
+    """The simple normalizer factors at `params` as (base, matrix size, or
+    None for an exceptional base), and the torus dimension."""
+    simple = tuple((tp.base, None if tp.arg is None else exprs.evaluate_int(tp.arg, params))
                    for tp in patterns if tp.base != "Z")
     return simple, sum(tp.base == "Z" for tp in patterns)
 
 
-def _module_dim(terms, simple: Sequence[NormFactor]) -> int:
+def _norm_dim(base: str, size: int | None) -> int:
+    return algebra(base).dim if size is None else size_dim(base, size)
+
+
+def _module_dim(terms, simple: Sequence[tuple[str, int | None]]) -> int:
     """Dimension of one module summand: the product over its terms."""
     dim = 1
     for kind, factor, hw in terms:
-        f = simple[factor - 1]
-        if kind in ("tau", "taus"):
-            dim *= f.tau_dim
-        elif kind in ("w2", "w2s"):
-            dim *= f.tau_dim * (f.tau_dim - 1) // 2
-        else:
-            rs = build_root_system(size_type(f.base, f.size))
+        base, size = simple[factor - 1]
+        if kind == "rep":
+            rs = build_root_system(size_type(base, size))
             if hw > rs.rank:
-                name = f.base if f.size is None else f"{f.base}({f.size})"
+                name = base if size is None else f"{base}({size})"
                 raise TableFormatError(f"module term rep({factor},{hw}) names fundamental "
                                        f"weight {hw} of {name}, which has rank {rs.rank}")
             coeffs = [0] * rs.rank
             coeffs[hw - 1] = 1
             dim *= weyl_dim(rs, coeffs)
+        elif size is None:
+            raise TableFormatError(f"no tautological module size for {base!r}")
+        else:  # tau, taus or the exterior squares w2, w2s
+            dim *= size if kind in ("tau", "taus") else size * (size - 1) // 2
     return dim
 
 
@@ -1105,7 +1096,7 @@ def verify_entry(entry: CatalogEntry, params: dict) -> list[Check]:
 
         if entry.table == "T4.8":
             simple, torus = inst.aux["norm"]
-            dim_norm = sum(f.dim for f in simple) + torus
+            dim_norm = sum(_norm_dim(*f) for f in simple) + torus
             dim_mods = sum(d for d, _ in inst.aux["mods"])
             dim_g = inst.g_types[0].dim
             checks.append(Check(
@@ -1121,9 +1112,11 @@ def verify_entry(entry: CatalogEntry, params: dict) -> list[Check]:
                 f"{entry.row_id} saturated-inside-full-codim-1 at {params}",
                 full.contains(sat) and full.dim == sat.dim + 1,
                 f"dims {sat.dim} inside {full.dim}"))
+            in_full, in_sat = member(full, lam), member(sat, lam)
             checks.append(Check(
-                f"{entry.row_id} duality-weight-separates at {params}",
-                member(full, lam) and not member(sat, lam),
+                f"{entry.row_id} duality-weight-separates at {params}", in_full and not in_sat,
+                "weight lies outside the full space" if not in_full else
+                "weight lies in the saturated space" if in_sat else
                 "weight lies in the full space but not the saturated one"))
             # the duality functional solves, vanishes on the saturated space
             # and takes the stored value at the stored weight

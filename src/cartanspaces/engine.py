@@ -406,12 +406,12 @@ def _validate_twist(pair: ReductivePair, tw: Twist) -> None:
             raise ConstraintError(f"node permutation {perm} is not a diagram symmetry of {t}")
 
 
-_OUTER_NOTES = (
-    ("T1.4:8", {"n": 8, "k": 7}, "full-symmetry class is a union of 3 inner classes"),
-    ("T1.4:9", None, "full-symmetry class is a union of 2 inner classes"),
-    ("T1.4:25", None,
-     "full-symmetry class is a union of as many inner classes as the factor has outer symmetries"),
-)
+# keyed by a trace's row text: `_row_str` exactly, or the row id alone
+_OUTER_NOTES = {
+    "T1.4:8(k=7,n=8)": "3 inner classes",
+    "T1.4:9": "2 inner classes",
+    "T1.4:25": "as many inner classes as the factor has outer symmetries",
+}
 
 
 def twist(pair: ReductivePair, tw: Twist) -> CartanResult:
@@ -422,12 +422,8 @@ def twist(pair: ReductivePair, tw: Twist) -> CartanResult:
     cols = [pair.columns(p)[i] for p, nodes in zip(tw.factor_perm, tw.node_perms) for i in nodes]
     cols += range(pair.rank_g, n)
     space = span(_moved(base.space.basis, cols, n), n)
-    notes = []
-    for row_id, params, note in _OUTER_NOTES:
-        for entry in base.trace:
-            if entry.startswith(row_id + "(") or entry == row_id:
-                if params is not None and not all(f"{k}={v}" in entry for k, v in params.items()):
-                    continue
-                notes.append(f"note: {note}")
+    notes = tuple(f"note: full-symmetry class is a union of {classes}"
+                  for key, classes in _OUTER_NOTES.items()
+                  if any(key in (line, line.partition("(")[0]) for line in base.trace))
     return CartanResult(space, base.rank, base.essential, base.complexity,
-                        base.trace + ("twisted",) + tuple(dict.fromkeys(notes)))
+                        base.trace + ("twisted",) + notes)

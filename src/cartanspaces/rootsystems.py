@@ -266,7 +266,8 @@ class RootSystem:
         return 2 * dot(beta, alpha) / dot(alpha, alpha)
 
     def weight_vector(self, coeffs) -> Vector:
-        """Ambient coordinates of sum coeffs[i] * pi_{i+1}."""
+        """Ambient coordinates of sum coeffs[i] * pi_{i+1}.  Kept as a reference:
+        the Levi count of tests/test_complexity.py reads it."""
         if len(coeffs) != self.rank:
             raise DimensionError(f"{len(coeffs)} coefficients for rank {self.rank}")
         return combine(coeffs, self.fundamental_weights, self.ambient_dim)
@@ -428,7 +429,8 @@ def weyl_dim(rs: RootSystem, coeffs) -> int:
 
 
 def diagram_automorphisms(rs: RootSystem) -> list[tuple[int, ...]]:
-    """All symmetries of the Dynkin diagram, as 0-based index permutations."""
+    """All symmetries of the Dynkin diagram, as 0-based index permutations.
+    O(l^4), and kept as a reference: the twist tests draw their twists from it."""
     l = rs.rank
     C = rs.cartan_matrix
     results: list[tuple[int, ...]] = []

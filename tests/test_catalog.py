@@ -152,6 +152,9 @@ def _copy_tables(tmp_path, old: str = "", new: str = "", name: str = "t14.tbl"):
     ("t16.tbl", 'sat="pi(1)+pi(5) | pi(6)"',
      'full="pi(1) | pi(5) | pi(6)" sat="pi(1)+pi(5) | pi(6)"', "t16.tbl:12: unknown field 'full'"),
     ("t36.tbl", 'constraint="n>=2"', 'constraint="n>=2" idx=1', "t36.tbl:5: unknown field 'idx'"),
+    # a normalizer row takes g, h and constraint from the T3.6 row of its number
+    ("t48.tbl", "row=2  norm=", "row=2  g=sl(2*n) norm=", "t48.tbl:14: unknown field 'g'"),
+    ("t48.tbl", "row=19 ", "row=20 ", "t48.tbl:31: T4.8 row 20 has no T3.6 row"),
     ("t14.tbl", 'gens="pi(3)"', 'gens="pi(3)" idx=1', "t14.tbl:20: unknown field 'idx'"),
     ("t32.tbl", 'kform="16"', 'kform="16" kform="17"', "t32.tbl:11: field 'kform' given twice"),
     # factor numbers: item targets within g, module terms within the simple factors of norm
@@ -221,21 +224,26 @@ def test_misspelt_field_is_not_answered(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err == "error: t14.tbl:8: unknown field 'constriant'\n"
 
 
-@pytest.mark.parametrize("old, new, text, at, survey_at, verify_fails", [
+@pytest.mark.parametrize("old, new, text, at, survey_at, verify_failed", [
     # lam in sat
     ('lam="pi(1)"       alpha="4/3"', 'lam="pi(6)"       alpha="4/3"',
-     "E6/so(10)+z=[pi_v(1)]", "T1.6:5 at {}", "T1.6:5 at {}", True),
+     "E6/so(10)+z=[pi_v(1)]", "T1.6:5 at {}", "T1.6:5 at {}",
+     ["[FAIL] T1.6:5 duality-weight-separates at {}: weight lies in the saturated space",
+      "[FAIL] T1.6:5 runs its checks at {}: "
+      "duality weight lies in the saturated space; functional unsolvable"]),
     # sat of codimension 2 in a(g, h) wherever the dropped group is nonempty.  verify
     # cannot see it: the group is empty at both of T1.6:1's sample parameter sets
     # (n, k) = (3, 2) and (5, 4), which ROADMAP item 8 would widen
     (" | pi(1)+pi(i)+pi(n-i-1) : i=1..n-k-1", "", "sl(7)/sl(4)+z=[pi_v(3)]",
-     "T1.6:1 at {'k': 4, 'n': 7}", "T1.6:1 at {'k': 3, 'n': 5}", False),
+     "T1.6:1 at {'k': 4, 'n': 7}", "T1.6:1 at {'k': 3, 'n': 5}", []),
     # sat not inside a(g, h), which T1.4:10 gives
     ('sat="pi(2*i) : i=1..n-1 |', 'sat="pi(1) | pi(2*i) : i=1..n-1 |',
-     "so(10)/sl(5)+z=[pi_v(5)]", "T1.6:4 at {'n': 2}", "T1.6:4 at {'n': 2}", True),
+     "so(10)/sl(5)+z=[pi_v(5)]", "T1.6:4 at {'n': 2}", "T1.6:4 at {'n': 2}",
+     [f"[FAIL] T1.6:4 saturated-inside-full-codim-1 at {{'n': {n}}}: dims {d} inside {d}"
+      for n, d in ((2, 3), (4, 5))]),
 ], ids=["lam-in-sat", "sat-too-small", "sat-outside-full"])
 def test_planted_family_row_faults_are_contract_errors(tmp_path, monkeypatch, capsys, old, new,
-                                                       text, at, survey_at, verify_fails):
+                                                       text, at, survey_at, verify_failed):
     # sat and lam must split a(g, h), read off T1.4, into a hyperplane and a
     # weight off it; each fault is refused where the row is first used
     contract = "sat and lam do not split a(g, h) into a hyperplane and a weight off it"
@@ -246,7 +254,10 @@ def test_planted_family_row_faults_are_contract_errors(tmp_path, monkeypatch, ca
     assert main(["survey", "--max-rank", "12"]) == 1
     # the survey names the row once
     assert capsys.readouterr().err == f"error: {survey_at}: {contract}\n"
-    assert main(["verify", "T1.6"]) == (1 if verify_fails else 0)
+    assert main(["verify", "T1.6"]) == (1 if verify_failed else 0)
+    # a failed check says which part failed
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == verify_failed
 
 
 @pytest.mark.parametrize("old, new, message", [

@@ -284,7 +284,7 @@ def test_survey_agreement_check_flags_a_shadowing_row(tmp_path, monkeypatch):
     assert row1_keys and _disagreements(8) == row1_keys
 
 
-def test_row_result_refuses_a_pair_the_row_does_not_spell():
+def test_row_result_equals_the_cartan_space_of_its_pair():
     inst = instantiate(get_catalog().lookup("T1.4", 1), {"n": 5, "k": 4})
     assert engine.row_result(inst) == engine.cartan_space(inst.pair)
 

@@ -309,6 +309,23 @@ def test_twist_factor_swap_on_diagonal():
     assert any("inner classes" in t for t in res.trace)
 
 
+@pytest.mark.parametrize("text, classes", [
+    ("so(8)/so(7)", "3 inner classes"),
+    ("so(8)/sl(4)", "2 inner classes"),
+    ("sl(3)+sl(3)/diag(sl(3))", "as many inner classes as the factor has outer symmetries"),
+    # row 8's note is for n=8, k=7 alone, not for parameters that merely begin so
+    ("so(85)/so(75)", None),
+    ("so(80)/so(70)", None),
+    ("so(89)/so(79)", None),
+    ("so(9)/so(7)", None),
+])
+def test_twist_notes_name_their_row_exactly(text, classes):
+    p = parse_pair(text)
+    identity = Twist(tuple(range(len(p.factors))), tuple(tuple(range(t.rank)) for t in p.factors))
+    notes = [line for line in twist(p, identity).trace if line.startswith("note: ")]
+    assert notes == ([f"note: full-symmetry class is a union of {classes}"] if classes else [])
+
+
 def test_twist_on_centrally_extended_pair():
     # the flipped corner subalgebra is an inner conjugate, so the computed
     # space must be stable under the chain reversal
