@@ -22,7 +22,6 @@ import re
 import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -35,7 +34,6 @@ from .ratlinalg import (
     dot,
     kernel_basis,
     member,
-    rref,
     span,
 )
 from .rootsystems import (
@@ -891,25 +889,14 @@ def instantiate(entry: CatalogEntry, params: dict) -> RowInstance:
 
 
 def solve_alpha(inst: RowInstance) -> Vector:
-    """Coefficients of a T1.6 instance's duality functional on its factor's
-    fundamental-weight coordinates.
-
-    The functional is pinned by vanishing on the saturated space and taking
-    the stored value at the stored weight; coefficients are restricted to
-    the pivot coordinates of the span of both, so the solution is unique and
-    deterministic.
-    """
+    """A T1.6 instance's duality functional on its factor's fundamental-weight
+    coordinates: the first covector vanishing on the saturated space that is
+    nonzero at the stored weight, scaled to take the stored value there."""
     lam = inst.aux["lam"]
-    _, pivots = rref([*inst.aux["sat"].basis, lam], inst.ambient)
-    eqs = [[b[p] for p in pivots] + [Fraction(0)] for b in inst.aux["sat"].basis]
-    eqs.append([lam[p] for p in pivots] + [Fraction(inst.aux["alpha_value"])])
-    red, piv = rref(eqs, len(pivots) + 1)
-    if len(pivots) in piv:
-        raise ContractError("duality weight lies in the saturated space; functional unsolvable")
-    coeffs = [Fraction(0)] * inst.ambient
-    for r, pc in enumerate(piv):
-        coeffs[pivots[pc]] = red[r][-1]
-    return tuple(coeffs)
+    for fn in kernel_basis(inst.aux["sat"].basis, inst.ambient):
+        if at := dot(fn, lam):
+            return tuple(x * inst.aux["alpha_value"] / at for x in fn)
+    raise ContractError("duality weight lies in the saturated space; functional unsolvable")
 
 
 # --- normalizer factors and module summands (T4.8) -------------------------

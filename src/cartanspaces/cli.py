@@ -84,18 +84,14 @@ def cmd_compute(expr: str, as_json: bool = False, bourbaki: bool = False, out=No
         return 1
     try:
         pair = parse_pair(expr)
+        result = engine.cartan_space(pair)
     except PairSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except CartanError as exc:  # a table fault met while reading the central part
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = engine.cartan_space(pair)
     except OutsideCatalogError as exc:
         print(f"outside catalog: {exc}", file=sys.stderr)
         return 2
-    except CartanError as exc:
+    except CartanError as exc:  # also a table fault met while reading the central part
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if as_json:

@@ -13,8 +13,10 @@ item positions and its central rows.  `_row_answer` computes a summand's
 space in its own coordinates from the table rows found for it.  A Table 1.6
 summand is cut in the quotient a(g,h)/sat: its space is every saturated
 space plus the combinations of the z0 and lam directions that its central
-rows annihilate, read off the duality values.  `_assemble` puts each space
-into the pair's columns (`_moved`), where the space is the block sum.
+rows annihilate, read off the duality values.  A bare Table 1.6 family
+member is answered as the full block that its checked row guarantees.
+`_assemble` puts each space into the pair's columns (`_moved`), where the
+space is the block sum.
 `row_result` answers the pair a row instance spells, without a search.
 
 Coordinates: a pair with factors g_1,...,g_f and a c-dimensional central
@@ -177,19 +179,19 @@ def _row_str(inst: RowInstance) -> str:
     return inst.entry.row_id + (f"({params})" if params else "")
 
 
-def alpha_functional(entry: CatalogEntry, params: dict, scale=1) -> Vector:
-    """A family row's duality covector, scaled; kept for benchmark/tracer.py and the tests."""
+def alpha_functional(entry: CatalogEntry, params: dict) -> Vector:
+    """A family row's duality covector; kept for benchmark/tracer.py and the tests."""
     if entry.table != "T1.6":
         raise ConstraintError(f"{entry.row_id} is not a central-extension family row")
-    return tuple(Fraction(scale) * c for c in solve_alpha(instantiate(entry, params)))
+    return solve_alpha(instantiate(entry, params))
 
 
 def _row_answer(sub: ReductivePair, insts: Sequence[RowInstance],
                 perm: Sequence[int] = ()) -> tuple[list[Vector], bool, list[str]]:
     """The space of an indecomposable pair from its rows: one T1.4 instance
     whose pattern position p is factor perm[p] of `sub`, or one T1.6 instance
-    per factor.  Returns spanning vectors in the pair's own coordinates, whether
-    the items are essential (the central rows always are) and the trace."""
+    per factor with the pair's central part.  Returns spanning vectors in the
+    pair's own coordinates, True (a row keeps every item) and the trace."""
     n = sub.weight_ambient
     if insts[0].entry.table == "T1.4":
         inst, = insts
@@ -198,20 +200,15 @@ def _row_answer(sub: ReductivePair, insts: Sequence[RowInstance],
     # one family row per factor, the slots in factor order.  f's duality
     # functional vanishes on sat_f and takes alpha_f at lam_f, and sat_f and
     # lam_f span a(g_f, h_f), so the space is every sat_f plus the z0 and
-    # lam_f combinations the central rows annihilate (all of them when bare)
+    # lam_f combinations the central rows annihilate
     cd = sub.center_dim
     cut = [[*row[:cd], *(x * inst.aux["alpha_value"] for x, inst in zip(row[cd:], insts))]
-           for row in (sub.center.basis if sub.center else ())]
+           for row in sub.center.basis]
     directions, vectors = _moved(kernel_basis([], cd), range(sub.rank_g, n), n), []
     for f, inst in enumerate(insts):
         directions += _moved([inst.aux["lam"]], sub.columns(f), n)
         vectors += _moved(inst.aux["sat"].basis, sub.columns(f), n)
     vectors += [combine(t, directions, n) for t in kernel_basis(cut, len(directions))]
-    if sub.center is None:
-        # bare members of central-extension families: the space is the full
-        # weight block and the essential part collapses to zero
-        return vectors, False, [f"{_row_str(inst)} bare: full block, essential part collapses"
-                                for inst in insts]
     return vectors, True, [f"{_row_str(inst)} with central part" for inst in insts]
 
 
@@ -235,9 +232,12 @@ def _summand_space(sub: ReductivePair,
         if matched is not None:
             entry, params, factor_map = matched
             return _row_answer(sub, [instantiate(entry, params)], factor_map)
-        # fallback: bare members of central-extension families
+        # a bare member of a central-extension family: its checked row's sat
+        # and lam span a(g, h), the whole block when no T1.4 row matches
         if len(sub.families) == len(sub.factors):
-            return _row_answer(sub, list(sub.families.values()))
+            return kernel_basis([], sub.weight_ambient), False, [
+                f"{_row_str(inst)} bare: full block, essential part collapses"
+                for inst in sub.families.values()]
         detail = near_miss or "no classification row matches"
         raise OutsideCatalogError(
             "summand (" + "+".join(map(str, sub.factors))
@@ -299,9 +299,9 @@ def essential_part(pair: ReductivePair) -> EssentialPart:
     return _assemble(pair)[1]
 
 
-def essential_pair(pair: ReductivePair, ess: EssentialPart | None = None) -> ReductivePair:
+def essential_pair(pair: ReductivePair) -> ReductivePair:
     """The essential part repackaged as a pair on the same ambient algebra."""
-    ess = ess if ess is not None else essential_part(pair)
+    ess = essential_part(pair)
     items = tuple(pair.items[i] for i in ess.item_indices)
     # a summand keeps all its items or none: a factor with a kept item keeps its slot
     kept = {t for it in items for t in it.targets}

@@ -22,8 +22,16 @@ from cartanspaces.catalog import (
 from cartanspaces.cli import main, survey_pairs
 from cartanspaces.errors import ConstraintError, TableFormatError
 from cartanspaces.exprs import check_relation, evaluate, variables
-from cartanspaces.ratlinalg import dot, span
-from cartanspaces.rootsystems import AMBIENT_CEILING, RANK_CEILING, SimpleType, sl, so, sp
+from cartanspaces.ratlinalg import dot, rref, span
+from cartanspaces.rootsystems import (
+    AMBIENT_CEILING,
+    RANK_CEILING,
+    SimpleType,
+    cartan_matrix,
+    sl,
+    so,
+    sp,
+)
 from reference_params import box_admissible_params
 
 
@@ -500,6 +508,39 @@ def test_saturated_lists_equal_the_former_cuts():
             assert any(dot(cut, b) for b in full.basis), (row, params)
             checked += 1
     assert checked == 420
+
+
+def _alpha_pairs(entry):
+    """(stored alpha, value of the central generator pi^vee(zgen) at lam) at
+    a T1.6 row's first four admissible parameter sets; the value is
+    sum_j lam_j (C^-1)[j][zgen-1], column zgen-1 of C^-1 solving C x = e."""
+    pairs = []
+    for params in itertools.islice(admissible_params(entry, 12), 4):
+        inst = instantiate(entry, params)
+        C, z = cartan_matrix(inst.g_types[0]), inst.aux["zgen"] - 1
+        inverse, _ = rref([[*row, int(i == z)] for i, row in enumerate(C)], len(C) + 1)
+        value = sum(x * row[-1] for x, row in zip(inst.aux["lam"], inverse))
+        pairs.append((inst.aux["alpha_value"], value))
+    return pairs
+
+
+@pytest.mark.parametrize("row", [
+    "1", "2", "3",
+    pytest.param("4", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 12: T1.6:4 stores twice the value, "
+                            "that of the gl(2n+1) identity")),
+    "5"])
+def test_family_alpha_is_the_central_generator_at_lam(row):
+    pairs = _alpha_pairs(lookup("T1.6", row))
+    assert len(pairs) == (1 if row == "5" else 4)
+    assert [stored for stored, _ in pairs] == [value for _, value in pairs]
+
+
+def test_a_scaled_family_alpha_is_caught(tmp_path, monkeypatch):
+    _copy_tables(tmp_path, 'alpha="k/n"', 'alpha="2*k/n"', "t16.tbl")
+    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    pairs = _alpha_pairs(lookup("T1.6", "1"))
+    assert len(pairs) == 4 and all(stored == 2 * value for stored, value in pairs)
 
 
 def test_t48_ideal_conditions_match_semisimple_table():

@@ -182,11 +182,6 @@ def test_alpha_functional_values():
     e = lookup("T1.6", 1)
     fn = alpha_functional(e, {"n": 5, "k": 3})
     assert dot(fn, vec((1, 0, 0, 0))) == Q(3, 5)
-    # scaling is linear, zero gives the zero functional
-    fn2 = alpha_functional(e, {"n": 5, "k": 3}, scale=Q(2))
-    assert dot(fn2, vec((1, 0, 0, 0))) == Q(6, 5)
-    fn0 = alpha_functional(e, {"n": 5, "k": 3}, scale=0)
-    assert all(c == 0 for c in fn0)
 
     e4 = lookup("T1.6", 4)
     fn = alpha_functional(e4, {"n": 2})
