@@ -405,18 +405,10 @@ class CatalogEntry:
 
     @cached_property
     def variables(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for tp in self.g_pattern:
-            if tp.arg:
-                names |= exprs.variables(tp.arg)
-            if tp.base == "X":
-                names.add("s")
-        for ip in self.h_pattern:
-            if ip.arg:
-                names |= exprs.variables(ip.arg)
-        for c in self.constraints:
-            names |= exprs.variables(c)
-        return tuple(sorted(names))
+        """The row's parameters, sorted: every variable that occurs alone in
+        an argument, and the series `s` of an `X(r)` pattern."""
+        series = {"s"} if any(tp.base == "X" for tp in self.g_pattern) else set()
+        return tuple(sorted(self.affine_args.keys() | series))
 
     def violated(self, params: dict) -> str | None:
         """The first constraint the parameters break, or None."""
@@ -514,7 +506,9 @@ class Catalog:
                                        "simple factors of norm")
         # matching binds each variable, and enumeration bounds it, from the
         # arguments it occurs alone in
-        missing = set(entry.variables) - set(entry.affine_args) - {"s"}
+        names = set().union(*(exprs.variables(p.arg) for p in entry.g_pattern + entry.h_pattern
+                              if p.arg), *map(exprs.variables, entry.constraints))
+        missing = names - entry.affine_args.keys() - {"s"}
         if missing:
             raise TableFormatError(f"variable {min(missing)!r} occurs alone in no pattern argument")
         return entry
@@ -947,7 +941,7 @@ _MAX_SIZE = {name: max((a, b) for other, a, b in CLASSICAL.values() if other == 
              for name, _, _ in CLASSICAL.values()}
 _MAX_SIZE["spin"] = _MAX_SIZE["so"]
 
-# minimal_params looks no higher than this rank
+# sample_params looks no higher than this rank for a row's least parameters
 _MINIMAL_RANK = 40
 
 
@@ -961,64 +955,50 @@ def _top(entry: CatalogEntry, name: str, max_rank: int) -> int:
     return min(tops)
 
 
-def admissible_params(entry: CatalogEntry, max_rank: int):
-    """Yield the row's admissible parameter dicts with rk g <= max_rank, in
-    lexicographic order.
+def _admissible_rank(entry: CatalogEntry, params: dict) -> int | None:
+    """rk g at `params` if they are admissible -- the constraints hold, the
+    g pattern resolves and no item size is negative -- else None."""
+    try:
+        ok = entry.violated(params) is None and all(
+            ip.arg is None or exprs.evaluate_int(ip.arg, params) >= 0 for ip in entry.h_pattern)
+        return sum(tp.resolve(params).rank for tp in entry.g_pattern) if ok else None
+    except (ConstraintError, TableFormatError):
+        return None
 
-    Admissible: the constraints hold, the g pattern resolves and no item
-    size is negative.  A variable runs from 1 to the largest value at which
-    every argument it occurs alone in (checked at load) names an algebra of
-    rank <= max_rank; an item's rank is at most its factor's, so no
-    admissible dict of small enough rank is left out (`_top`).
+
+def admissible_params(entry: CatalogEntry, max_rank: int):
+    """Yield the row's admissible parameter dicts (`_admissible_rank`) with
+    rk g <= max_rank, in lexicographic order.
+
+    A variable runs from 1 to the largest value at which every argument it
+    occurs alone in (checked at load) names an algebra of rank <= max_rank;
+    an item's rank is at most its factor's, so no admissible dict of small
+    enough rank is left out (`_top`).
     """
     names = entry.variables
     domains = [_SERIES_ORDER if name == "s" else range(1, _top(entry, name, max_rank) + 1)
                for name in names]
     for combo in itertools.product(*domains):
         params = dict(zip(names, combo))
-        try:
-            if (entry.violated(params) is not None
-                    or sum(tp.resolve(params).rank for tp in entry.g_pattern) > max_rank
-                    or any(ip.arg is not None and exprs.evaluate_int(ip.arg, params) < 0
-                           for ip in entry.h_pattern)):
-                continue
-        except (ConstraintError, TableFormatError):
-            continue
-        yield params
-
-
-def minimal_params(entry: CatalogEntry) -> dict:
-    """The admissible parameters of least rk g, the lexicographically first
-    of that rank."""
-    for max_rank in range(_MINIMAL_RANK + 1):
-        for params in admissible_params(entry, max_rank):
-            return params
-    raise ConstraintError(
-        f"{entry.row_id} has no admissible parameters up to rank {_MINIMAL_RANK}")
-
-
-def shifted_params(entry: CatalogEntry, base: dict, delta: int = 2) -> dict:
-    """`base` with every numeric value raised by delta, when the constraints
-    still hold and g still resolves there; else `base`."""
-    shifted = {k: (v if isinstance(v, str) else v + delta) for k, v in base.items()}
-    try:
-        entry.check_constraints(shifted)
-        for tp in entry.g_pattern:
-            tp.resolve(shifted)
-        return shifted
-    except (ConstraintError, TableFormatError):
-        return base
+        rank = _admissible_rank(entry, params)
+        if rank is not None and rank <= max_rank:
+            yield params
 
 
 def sample_params(entry: CatalogEntry) -> list[dict]:
     """The parameters `verify` checks a row at: every rank up to 12 of a
-    T3.2 series, else the minimal ones (ConstraintError when there are none)
-    and the shifted ones when they differ."""
+    T3.2 series; else the admissible ones of least rk g, the lexicographically
+    first of that rank (ConstraintError when there are none), and these with
+    every number raised by 2 when that is admissible too."""
     if entry.table == "T3.2":
         return list(admissible_params(entry, 12))
-    base = minimal_params(entry)
-    shifted = shifted_params(entry, base)
-    return [base] if shifted == base else [base, shifted]
+    for max_rank in range(_MINIMAL_RANK + 1):
+        for base in admissible_params(entry, max_rank):
+            shifted = {k: (v if isinstance(v, str) else v + 2) for k, v in base.items()}
+            keep = shifted != base and _admissible_rank(entry, shifted) is not None
+            return [base, shifted] if keep else [base]
+    raise ConstraintError(
+        f"{entry.row_id} has no admissible parameters up to rank {_MINIMAL_RANK}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ is a positive multiple of the invariant form, so pairings between roots and
 weights are exact.  A classical type reads its positive roots, with their
 simple-root coordinates, off Bourbaki's plates I-IV; E, F and G close the
 simple roots under reflections, which gives the coordinates as well.  The
-fundamental weights (solved from the Cartan matrix) and the long-root sum
-`RootSystem.k` are computed on first use.
+Cartan matrix (cached per type by `cartan_matrix`), the fundamental weights
+solved from it and the long-root sum `RootSystem.k` are computed on first
+use.
 
 Simple roots are numbered in the VO convention, the one used by all
 classification tables in this package.  For the classical series and G2 it
@@ -236,11 +237,14 @@ class RootSystem:
     positive_roots: tuple[Vector, ...]
     positive_coords: tuple[tuple[int, ...], ...]
     simple_norms: tuple[int, ...]
-    cartan_matrix: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
         return self.stype.rank
+
+    @property
+    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
+        return cartan_matrix(self.stype)
 
     @cached_property
     def roots(self) -> tuple[Vector, ...]:
@@ -376,7 +380,6 @@ def _realize(t: SimpleType, plates: bool) -> RootSystem:
         positive_roots=positive,
         positive_coords=tuple(seen[r] for r in positive),
         simple_norms=norms,
-        cartan_matrix=cartan_matrix(t),
     )
 
 

@@ -15,8 +15,7 @@ from cartanspaces.catalog import (
     instantiate,
     lookup,
     match_t14,
-    minimal_params,
-    shifted_params,
+    sample_params,
     verify_entry,
 )
 from cartanspaces.cli import main, survey_pairs
@@ -77,10 +76,8 @@ def test_every_row_instantiates_at_minimal_and_bumped():
     for (table, row), entry in sorted(catalog.entries.items()):
         if table == "T3.2":
             continue
-        p0 = minimal_params(entry)
-        instantiate(entry, p0)
-        p2 = shifted_params(entry, p0, 2)
-        instantiate(entry, p2)
+        for params in sample_params(entry):
+            instantiate(entry, params)
 
 
 def _rank(entry, params) -> int:
@@ -118,7 +115,28 @@ def test_sampling_and_minimal_params_equal_the_box():
         if table == "T3.2":
             assert cat.sample_params(entry) == list(box_admissible_params(entry, 12))
         # least rank, then lexicographic: the box's first hit on every row
-        assert minimal_params(entry) == next(box_admissible_params(entry, 40)), entry.row_id
+        assert sample_params(entry)[0] == next(box_admissible_params(entry, 40)), entry.row_id
+
+
+def test_the_shifted_sample_is_kept_exactly_when_admissible():
+    # one rule: verify's second sample is the least parameters raised by 2,
+    # kept exactly when the enumerator yields it at its own rank (45 of the
+    # 90 rows outside T3.2)
+    kept = 0
+    for (table, _), entry in sorted(get_catalog().entries.items()):
+        if table == "T3.2":
+            continue
+        samples = sample_params(entry)
+        shifted = {k: (v if isinstance(v, str) else v + 2) for k, v in samples[0].items()}
+        try:
+            rank = _rank(entry, shifted)
+        except (ConstraintError, TableFormatError):
+            rank = None
+        admissible = (shifted != samples[0] and rank is not None
+                      and shifted in admissible_params(entry, rank))
+        assert samples[1:] == ([shifted] if admissible else []), entry.row_id
+        kept += admissible
+    assert kept == 45
 
 
 def test_parse_error_reports_line_number(tmp_path, monkeypatch):
@@ -576,5 +594,5 @@ def test_verify_entry_all_rows():
         if table == "T3.2":
             checks = verify_entry(entry, {"l": 4} if entry.variables else {})
         else:
-            checks = verify_entry(entry, minimal_params(entry))
+            checks = verify_entry(entry, sample_params(entry)[0])
         assert all(c.passed for c in checks), [str(c) for c in checks if not c.passed]
