@@ -107,6 +107,11 @@ def _parse_record(line: str) -> dict[str, str]:
 _TYPE_PAT = re.compile(r"([A-Za-z]\w*)(?:\(([^()]*)\))?$")
 
 
+def _value(arg: str | None, params: dict) -> int | None:
+    """A pattern argument at the parameters; None when the pattern has none."""
+    return None if arg is None else exprs.evaluate_int(arg, params)
+
+
 @dataclass(frozen=True)
 class TypePattern:
     """A parameterized simple-type expression such as so(4*n+2) or X(r)."""
@@ -120,9 +125,8 @@ class TypePattern:
             series = params.get("s")
             if not isinstance(series, str):
                 raise ConstraintError("pattern X(...) needs a series parameter 's'")
-            return SimpleType(series, exprs.evaluate_int(self.arg, params))
-        return algebra(self.base, None if self.arg is None
-                       else exprs.evaluate_int(self.arg, params))
+            return SimpleType(series, _value(self.arg, params))
+        return algebra(self.base, _value(self.arg, params))
 
 
 _TYPE_BASES = {"sl", "so", "sp", "A", "B", "C", "D", "X"} | set(EXCEPTIONAL)
@@ -258,8 +262,6 @@ def instantiate_weight_groups(
             for terms in g.sums:
                 v = [0] * total
                 for dualize, factor, idx_expr in terms:
-                    if factor >= len(factor_types):
-                        raise TableFormatError("weight term refers to a missing factor")
                     idx = exprs.evaluate_int(idx_expr, env)
                     if not (1 <= idx <= ranks[factor]):
                         raise ConstraintError(
@@ -414,11 +416,6 @@ class CatalogEntry:
         """The first constraint the parameters break, or None."""
         return next((c for c in self.constraints if not exprs.check_relation(c, params)), None)
 
-    def check_constraints(self, params: dict) -> None:
-        c = self.violated(params)
-        if c is not None:
-            raise ConstraintError(f"{self.row_id}: parameters {params} violate {c!r}")
-
 
 class Catalog:
     """All classification tables, loaded once from a data directory."""
@@ -493,12 +490,20 @@ class Catalog:
             aux.update(g=t36.g_pattern, h=t36.h_pattern, constraint=t36.constraints)
         entry = CatalogEntry(aux.pop("table"), aux.pop("row"), aux.pop("g"), aux.pop("h", ()),
                              aux.pop("constraint", ()), aux.pop("gens", ()), aux)
-        # factor numbers are 1-based: item targets count the factors of g,
-        # module terms the simple factors of norm
+        # factor numbers are 1-based: item targets and weight terms count the
+        # factors of g, module terms the simple factors of norm
         factors = len(entry.g_pattern)
         for t in (t + 1 for ip in entry.h_pattern for t in ip.targets):
             if not 1 <= t <= factors:
                 raise TableFormatError(f"item target {t} is not one of the {factors} factors of g")
+        for f in (f + 1 for groups in (entry.gens, aux.get("sat", ()), aux.get("lam", ()))
+                  for g in groups for terms in g.sums for _, f, _ in terms):
+            if f > factors:
+                raise TableFormatError(f"weight term factor {f} is not one of the {factors} "
+                                       "factors of g")
+        lam = aux.get("lam")
+        if lam is not None and (len(lam) != 1 or len(lam[0].sums) != 1 or lam[0].rng):
+            raise TableFormatError("lam must be one weight sum, with no range")
         factors = sum(tp.base != "Z" for tp in aux.get("norm", ()))
         for f in (f for _, terms in aux.get("mods", ()) for _, f, _ in terms):
             if not 1 <= f <= factors:
@@ -716,15 +721,6 @@ def canonical_item_key(base: str, size: int | None, context: SimpleType) -> tupl
     return (base, size)
 
 
-def _item_key(item: HItem, context: SimpleType) -> tuple:
-    return canonical_item_key(item.base, item.size, context)
-
-
-def _pattern_item_key(ip: ItemPattern, params: dict, context: SimpleType) -> tuple:
-    size = exprs.evaluate_int(ip.arg, params) if ip.arg else None
-    return canonical_item_key(ip.base, size, context)
-
-
 def _solve_assignments(entry: CatalogEntry, g_types: Sequence[SimpleType], sizes: set):
     """Yield parameter dicts making the row's g pattern equal the given types.
 
@@ -759,22 +755,17 @@ def _candidates(entry: CatalogEntry, g_types: Sequence[SimpleType], items: Seque
     sizes |= {t.classical_size for t in g_types if t.classical_size is not None}
     if sizes & {2, 3}:
         sizes |= {2, 3}  # sl(2), sp(2) and so(3) coincide inside sp(n)
+    keys = [canonical_item_key(it.base, it.size, g_types[it.targets[0]]) for it in items]
     for perm in itertools.permutations(range(npos)):
         typed = [g_types[perm[p]] for p in range(npos)]
-        have = sorted(
-            (_item_key(it, g_types[it.targets[0]]),
-             tuple(sorted(perm.index(t) for t in it.targets)))
-            for it in items
-        )
+        have = sorted((key, tuple(sorted(perm.index(t) for t in it.targets)))
+                      for key, it in zip(keys, items))
         for params in _solve_assignments(entry, typed, sizes):
             want = sorted(
-                (_pattern_item_key(ip, params, typed[ip.targets[0]]),
-                 tuple(sorted(ip.targets)))
-                for ip in entry.h_pattern
-            )
-            if want != have:
-                continue
-            yield params, perm, entry.violated(params)
+                (canonical_item_key(ip.base, _value(ip.arg, params), typed[ip.targets[0]]),
+                 tuple(sorted(ip.targets))) for ip in entry.h_pattern)
+            if want == have:
+                yield params, perm, entry.violated(params)
 
 
 def match_row(
@@ -782,7 +773,7 @@ def match_row(
     g_types: Sequence[SimpleType],
     items: Sequence[HItem],
 ) -> tuple[dict, tuple[int, ...]] | None:
-    """Match concrete factors/items against a T1.4 row.
+    """Match concrete factors/items against a T1.4 or T1.6 row.
 
     Returns (params, factor_map) where factor_map[p] is the index in
     `g_types` assigned to pattern position p, or None when no admissible
@@ -854,13 +845,14 @@ def instantiate(entry: CatalogEntry, params: dict) -> RowInstance:
     Raises ConstraintError naming the violated inequality when the
     parameters are out of range.
     """
-    entry.check_constraints(params)
+    violated = entry.violated(params)
+    if violated is not None:
+        raise ConstraintError(f"{entry.row_id}: parameters {params} violate {violated!r}")
     g_types = tuple(tp.resolve(params) for tp in entry.g_pattern)
     items = []
     for ip in entry.h_pattern:
-        size = exprs.evaluate_int(ip.arg, params) if ip.arg else None
         diag_type = g_types[ip.targets[0]] if ip.base == "diag" else None
-        base, size = canonical_item_key(ip.base, size, g_types[ip.targets[0]])
+        base, size = canonical_item_key(ip.base, _value(ip.arg, params), g_types[ip.targets[0]])
         items.append(HItem(base, size, ip.targets, diag_type))
     gens = tuple(instantiate_weight_groups(entry.gens, params, g_types)) if entry.gens else ()
     aux: dict = {}
@@ -898,8 +890,7 @@ def solve_alpha(inst: RowInstance) -> Vector:
 def _instantiate_norm(patterns, params: dict) -> tuple[tuple[tuple[str, int | None], ...], int]:
     """The simple normalizer factors at `params` as (base, matrix size, or
     None for an exceptional base), and the torus dimension."""
-    simple = tuple((tp.base, None if tp.arg is None else exprs.evaluate_int(tp.arg, params))
-                   for tp in patterns if tp.base != "Z")
+    simple = tuple((tp.base, _value(tp.arg, params)) for tp in patterns if tp.base != "Z")
     return simple, sum(tp.base == "Z" for tp in patterns)
 
 
@@ -960,7 +951,7 @@ def _admissible_rank(entry: CatalogEntry, params: dict) -> int | None:
     g pattern resolves and no item size is negative -- else None."""
     try:
         ok = entry.violated(params) is None and all(
-            ip.arg is None or exprs.evaluate_int(ip.arg, params) >= 0 for ip in entry.h_pattern)
+            (_value(ip.arg, params) or 0) >= 0 for ip in entry.h_pattern)
         return sum(tp.resolve(params).rank for tp in entry.g_pattern) if ok else None
     except (ConstraintError, TableFormatError):
         return None

@@ -16,7 +16,8 @@ def box_admissible_params(entry: CatalogEntry, bound: int = 40):
     for combo in itertools.product(*domains):
         params = dict(zip(names, combo))
         try:
-            entry.check_constraints(params)
+            if entry.violated(params) is not None:
+                continue
             for tp in entry.g_pattern:
                 tp.resolve(params)
             if any(ip.arg is not None and exprs.evaluate_int(ip.arg, params) < 0

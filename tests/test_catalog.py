@@ -139,27 +139,13 @@ def test_the_shifted_sample_is_kept_exactly_when_admissible():
     assert kept == 45
 
 
-def test_parse_error_reports_line_number(tmp_path, monkeypatch):
-    src = get_catalog().data_dir
-    for f in src.iterdir():
-        (tmp_path / f.name).write_text(f.read_text())
-    bad = tmp_path / "t32.tbl"
-    bad.write_text(bad.read_text() + "\ntable=T3.2 row=Z g=Q9 kform=\"oops(\"\n")
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+def test_parse_error_reports_line_number(planted_tables):
+    # a bad record after the last one
+    tables = planted_tables('g=G2   kform="16"', 'g=G2   kform="16"\n'
+                            'table=T3.2 row=Z g=Q9 kform="oops("', "t32.tbl")
     with pytest.raises(TableFormatError) as err:
-        Catalog(tmp_path)
+        Catalog(tables)
     assert "t32.tbl:" in str(err.value)
-
-
-def _copy_tables(tmp_path, old: str = "", new: str = "", name: str = "t14.tbl"):
-    """The tables copied to tmp_path, with `old` replaced once by `new` in
-    the table file `name`."""
-    src = get_catalog().data_dir
-    for f in src.iterdir():
-        (tmp_path / f.name).write_text(f.read_text())
-    edited = tmp_path / name
-    assert old in edited.read_text()
-    edited.write_text(edited.read_text().replace(old, new, 1))
 
 
 @pytest.mark.parametrize("name, old, new, message", [
@@ -183,7 +169,8 @@ def _copy_tables(tmp_path, old: str = "", new: str = "", name: str = "t14.tbl"):
     ("t48.tbl", "row=19 ", "row=20 ", "t48.tbl:31: T4.8 row 20 has no T3.6 row"),
     ("t14.tbl", 'gens="pi(3)"', 'gens="pi(3)" idx=1', "t14.tbl:20: unknown field 'idx'"),
     ("t32.tbl", 'kform="16"', 'kform="16" kform="17"', "t32.tbl:11: field 'kform' given twice"),
-    # factor numbers: item targets within g, module terms within the simple factors of norm
+    # factor numbers: item targets and weight terms within g, module terms within the
+    # simple factors of norm
     ("t14.tbl", "h=diag@1,2", "h=diag@a,2", "t14.tbl:32: bad item targets 'a,2'"),
     ("t14.tbl", "h=diag@1,2", "h=diag@0,2",
      "t14.tbl:32: item target 0 is not one of the 2 factors of g"),
@@ -192,6 +179,13 @@ def _copy_tables(tmp_path, old: str = "", new: str = "", name: str = "t14.tbl"):
     ("t14.tbl", "h=diag@1,2", "h=diag@1,1", "t14.tbl:32: item targets '1,1' name a factor twice"),
     ("t48.tbl", 'mods="tau(1)*tau(2)"', 'mods="tau(1)*tau(3)"',
      "t48.tbl:16: module term factor 3 is not one of the 2 simple factors of norm"),
+    ("t14.tbl", 'gens="pi(i),pi(n-i) : i=1..n-k"', 'gens="pi(i),pi\'(n-i) : i=1..n-k"',
+     "t14.tbl:8: weight term factor 2 is not one of the 1 factors of g"),
+    # a T1.6 row's lam is one weight
+    ("t16.tbl", 'lam="pi(1)"       alpha="k/n"', 'lam="pi(1) | pi(2)" alpha="k/n"',
+     "t16.tbl:8: lam must be one weight sum, with no range"),
+    ("t16.tbl", 'lam="pi(1)"       alpha="k/n"', 'lam="" alpha="k/n"',
+     "t16.tbl:8: lam must be one weight sum, with no range"),
     # a rep term's highest weight is a fundamental weight, counted from 1
     ("t48.tbl", 'mods="rep(1,2) + z(1)', 'mods="rep(1,0) + z(1)',
      "t48.tbl:15: module term 'rep(1,0)' names highest weight 0; fundamental weights count from 1"),
@@ -201,10 +195,8 @@ def _copy_tables(tmp_path, old: str = "", new: str = "", name: str = "t14.tbl"):
     ("t16.tbl", 'alpha="4/3"', 'alpha="4.0/3"',
      "t16.tbl:12: expression '4.0/3' holds a token outside the grammar"),
 ])
-def test_planted_table_faults_fail_the_load(tmp_path, monkeypatch, capsys, name, old, new,
-                                            message):
-    _copy_tables(tmp_path, old, new, name)
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+def test_planted_table_faults_fail_the_load(planted_tables, capsys, name, old, new, message):
+    planted_tables(old, new, name)
     with pytest.raises(TableFormatError) as err:
         get_catalog()
     assert str(err.value).startswith(message)
@@ -212,11 +204,10 @@ def test_planted_table_faults_fail_the_load(tmp_path, monkeypatch, capsys, name,
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
-def test_rep_weight_above_the_factor_rank_fails_verify(tmp_path, monkeypatch, capsys):
+def test_rep_weight_above_the_factor_rank_fails_verify(planted_tables, capsys):
     # the rank of the norm factor sp(2*n) is known only at parameters, so
     # the instantiation fails and verify names the row, without a traceback
-    _copy_tables(tmp_path, 'mods="rep(1,2) + z(1)', 'mods="rep(1,99) + z(1)', "t48.tbl")
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    planted_tables('mods="rep(1,2) + z(1)', 'mods="rep(1,99) + z(1)', "t48.tbl")
     assert main(["verify", "T4.8"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
     assert failed == [
@@ -224,12 +215,11 @@ def test_rep_weight_above_the_factor_rank_fails_verify(tmp_path, monkeypatch, ca
         f"fundamental weight 99 of sp({2 * n}), which has rank {n}" for n in (2, 4)]
 
 
-def test_row_without_parameters_fails_verify(tmp_path, monkeypatch, capsys):
+def test_row_without_parameters_fails_verify(planted_tables, capsys):
     # no rank up to the search's limit admits T1.4:3 at n>=50: one failed
     # check names the row, the other rows are still checked, no traceback
-    _copy_tables(tmp_path, 'h=sp(2*n)                      constraint="n>=2"',
+    planted_tables('h=sp(2*n)                      constraint="n>=2"',
                  'h=sp(2*n)                      constraint="n>=50"')
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
     assert main(["verify", "all"]) == 1
     out = capsys.readouterr().out
     failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
@@ -238,10 +228,9 @@ def test_row_without_parameters_fails_verify(tmp_path, monkeypatch, capsys):
     assert "T4.8:19" in out and out.endswith(" checks, 1 failed\n")
 
 
-def test_misspelt_field_is_not_answered(tmp_path, monkeypatch, capsys):
+def test_misspelt_field_is_not_answered(planted_tables, capsys):
     # with the constraint dropped, T1.4:1 would match sl(5)/sl(2) and exit 0
-    _copy_tables(tmp_path, 'constraint="n>=2; 2*k>=n+2', 'constriant="n>=2; 2*k>=n+2')
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    planted_tables('constraint="n>=2; 2*k>=n+2', 'constriant="n>=2; 2*k>=n+2')
     # the central pair and the table reference read the tables while parsing;
     # the load error is still the tables', not the input's
     for argv in (["compute", "sl(5)/sl(2)"], ["verify", "all"], ["survey", "--max-rank", "4"],
@@ -268,13 +257,12 @@ def test_misspelt_field_is_not_answered(tmp_path, monkeypatch, capsys):
      [f"[FAIL] T1.6:4 saturated-inside-full-codim-1 at {{'n': {n}}}: dims {d} inside {d}"
       for n, d in ((2, 3), (4, 5))]),
 ], ids=["lam-in-sat", "sat-too-small", "sat-outside-full"])
-def test_planted_family_row_faults_are_contract_errors(tmp_path, monkeypatch, capsys, old, new,
+def test_planted_family_row_faults_are_contract_errors(planted_tables, capsys, old, new,
                                                        text, at, survey_at, verify_failed):
     # sat and lam must split a(g, h), read off T1.4, into a hyperplane and a
     # weight off it; each fault is refused where the row is first used
     contract = "sat and lam do not split a(g, h) into a hyperplane and a weight off it"
-    _copy_tables(tmp_path, old, new, "t16.tbl")
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    planted_tables(old, new, "t16.tbl")
     assert main(["compute", text]) == 1
     assert capsys.readouterr().err == f"error: {at}: {contract}\n"
     assert main(["survey", "--max-rank", "12"]) == 1
@@ -290,11 +278,9 @@ def test_planted_family_row_faults_are_contract_errors(tmp_path, monkeypatch, ca
     ("g=sl(n) ", "g=sl(n*n) ", "'n*n' is not affine"),
     ('constraint="n>=2"', 'constraint="n>=2; j>=1"', "'j' occurs alone in no pattern"),
 ])
-def test_row_variables_must_occur_alone_in_affine_arguments(tmp_path, monkeypatch,
-                                                            old, new, message):
+def test_row_variables_must_occur_alone_in_affine_arguments(planted_tables, old, new, message):
     # matching binds every variable through such an argument
-    _copy_tables(tmp_path, old, new)
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    planted_tables(old, new)
     with pytest.raises(TableFormatError) as err:
         get_catalog()
     assert str(err.value).startswith("t14.tbl:") and message in str(err.value)
@@ -305,21 +291,19 @@ def test_row_variables_must_occur_alone_in_affine_arguments(tmp_path, monkeypatc
      "'j' occurs alone in no pattern"),
     ("t48.tbl", 'norm="sl(k)*sl(n-k)*Z"', 'norm="sl(k*k)*sl(n-k)*Z"', "'k*k' is not affine"),
 ])
-def test_every_table_bounds_its_variables_by_affine_arguments(tmp_path, monkeypatch,
+def test_every_table_bounds_its_variables_by_affine_arguments(planted_tables,
                                                               name, old, new, message):
     # the parameter enumeration bounds each variable through such an
     # argument, norm arguments included, in the tables matching never reads
-    _copy_tables(tmp_path, old, new, name)
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    planted_tables(old, new, name)
     with pytest.raises(TableFormatError) as err:
         get_catalog()
     assert str(err.value).startswith(f"{name}:") and message in str(err.value)
 
 
-def test_data_dir_override(tmp_path, monkeypatch):
+def test_data_dir_override(tmp_path, monkeypatch, planted_tables):
     src = get_catalog().data_dir
-    _copy_tables(tmp_path)
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    planted_tables()
     cat2 = get_catalog()
     assert cat2.data_dir == tmp_path
     assert lookup("T3.2", "G").aux["kform"] == "16"
@@ -554,9 +538,8 @@ def test_family_alpha_is_the_central_generator_at_lam(row):
     assert [stored for stored, _ in pairs] == [value for _, value in pairs]
 
 
-def test_a_scaled_family_alpha_is_caught(tmp_path, monkeypatch):
-    _copy_tables(tmp_path, 'alpha="k/n"', 'alpha="2*k/n"', "t16.tbl")
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+def test_a_scaled_family_alpha_is_caught(planted_tables):
+    planted_tables('alpha="k/n"', 'alpha="2*k/n"', "t16.tbl")
     pairs = _alpha_pairs(lookup("T1.6", "1"))
     assert len(pairs) == 4 and all(stored == 2 * value for stored, value in pairs)
 

@@ -270,16 +270,12 @@ def test_survey_answers_agree_with_compute():
     assert _disagreements(8) == []
 
 
-def test_survey_agreement_check_flags_a_shadowing_row(tmp_path, monkeypatch):
+def test_survey_agreement_check_flags_a_shadowing_row(planted_tables):
     # a copy of T1.4:1 under row=0 sorts first, so `compute` answers the
     # pairs of row 1 from row 0 and names row 0 in the trace
-    src = get_catalog().data_dir
-    for f in src.iterdir():
-        (tmp_path / f.name).write_text(f.read_text())
-    t14 = tmp_path / "t14.tbl"
-    row1 = next(line for line in t14.read_text().splitlines() if "row=1 " in line)
-    t14.write_text(t14.read_text() + row1.replace("row=1 ", "row=0 ") + "\n")
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    t14 = (get_catalog().data_dir / "t14.tbl").read_text()
+    row1 = next(line for line in t14.splitlines() if "row=1 " in line)
+    planted_tables(row1, row1 + "\n" + row1.replace("row=1 ", "row=0 "))
     row1_keys = [key for key, _, _ in survey_pairs(8) if key[:2] == ("T1.4", 1)]
     assert row1_keys and _disagreements(8) == row1_keys
 
@@ -289,17 +285,11 @@ def test_row_result_equals_the_cartan_space_of_its_pair():
     assert engine.row_result(inst) == engine.cartan_space(inst.pair)
 
 
-def test_a_row_that_fails_at_an_admissible_parameter_exits_1(tmp_path, monkeypatch, capsys):
+def test_a_row_that_fails_at_an_admissible_parameter_exits_1(planted_tables, capsys):
     # an extra generator pi(n-6) on T1.4:8: at n=7 it gives a negative
     # complexity, from n=13 on it names a weight the factor lacks; `verify`
     # does not sample those parameters, and the survey must not skip the row
-    src = get_catalog().data_dir
-    for f in src.iterdir():
-        (tmp_path / f.name).write_text(f.read_text())
-    t14 = tmp_path / "t14.tbl"
-    t14.write_text(t14.read_text().replace('gens="pi(i) : i=1..n-k"',
-                                           'gens="pi(i) : i=1..n-k | pi(n-6)"'))
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    planted_tables('gens="pi(i) : i=1..n-k"', 'gens="pi(i) : i=1..n-k | pi(n-6)"')
     assert cmd_verify("T1.4", out=io.StringIO()) == 0
     assert cmd_survey(6, "", out=io.StringIO()) == 1
     assert capsys.readouterr().err.startswith("error: T1.4:8 at {")
@@ -307,15 +297,11 @@ def test_a_row_that_fails_at_an_admissible_parameter_exits_1(tmp_path, monkeypat
     assert capsys.readouterr().err == "error: weight index 7 out of range for factor B6\n"
 
 
-def test_a_table_fault_met_while_parsing_exits_1(tmp_path, monkeypatch, capsys):
+def test_a_table_fault_met_while_parsing_exits_1(planted_tables, capsys):
     # the central part reads the factor's T1.6 row while the pair is parsed;
     # a weight index past the factor's rank is the table's fault, not a traceback
-    for f in get_catalog().data_dir.iterdir():
-        (tmp_path / f.name).write_text(f.read_text())
-    t16 = tmp_path / "t16.tbl"
-    t16.write_text(t16.read_text().replace('sat="pi(i)+pi(n-i) : i=1..n-k |',
-                                           'sat="pi(i)+pi(n+3-i) : i=1..n-k |'))
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    planted_tables('sat="pi(i)+pi(n-i) : i=1..n-k |', 'sat="pi(i)+pi(n+3-i) : i=1..n-k |',
+                   "t16.tbl")
     assert cmd_compute("sl(7)/sl(4)+z=[pi_v(3)]", out=io.StringIO()) == 1
     assert capsys.readouterr().err == "error: weight index 9 out of range for factor A6\n"
 
@@ -330,16 +316,12 @@ def test_a_table_fault_met_while_parsing_exits_1(tmp_path, monkeypatch, capsys):
     ("T3.2", "t32.tbl", 'kform="48"', 'kform="48/(l-l)"', [
         "[FAIL] T3.2:E6 runs its checks at {}: unbound parameter 'l' in expression '48/(l-l)'"]),
 ])
-def test_a_check_that_raises_is_one_failed_check(tmp_path, table, name, old, new, failed):
-    for f in get_catalog().data_dir.iterdir():
-        (tmp_path / f.name).write_text(f.read_text())
-    edited = tmp_path / name
-    assert old in edited.read_text()
-    edited.write_text(edited.read_text().replace(old, new, 1))
+def test_a_check_that_raises_is_one_failed_check(planted_tables, table, name, old, new, failed):
+    tables = planted_tables(old, new, name)
     src = str(Path(cartanspaces.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "cartanspaces.cli", "verify", table],
                           capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src, CARTAN_DATA_DIR=str(tmp_path)))
+                          env=dict(os.environ, PYTHONPATH=src, CARTAN_DATA_DIR=str(tables)))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr, proc.stderr
     assert [line for line in proc.stdout.splitlines() if line.startswith("[FAIL]")] == failed

@@ -136,15 +136,8 @@ def test_index_partition_of_t34_is_t36_and_t37():
     # a T3.7 row deleted: so(2n)/sl(n-1) for n = 4..12
     ("t37.tbl", "table=T3.7 row=5 ", "#", 9, "so(10)/sl(4)"),
 ])
-def test_index_partition_catches_a_planted_fault(tmp_path, monkeypatch,
-                                                 name, old, new, count, example):
-    for f in get_catalog().data_dir.iterdir():
-        text = f.read_text()
-        if f.name == name:
-            assert old in text
-            text = text.replace(old, new, 1)
-        (tmp_path / f.name).write_text(text)
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+def test_index_partition_catches_a_planted_fault(planted_tables, name, old, new, count, example):
+    planted_tables(old, new, name)
     below, at_1, t36, t37, _ = _index_partition()
     differ = (below ^ _with_images(t36)) | (at_1 ^ _with_images(t37))
     assert len(differ) == count and example in differ

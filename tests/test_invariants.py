@@ -14,7 +14,6 @@ from cartanspaces.engine import cartan_space
 from cartanspaces.pairs import format_pair, parse_pair
 from cartanspaces.ratlinalg import RationalSubspace, span
 from cartanspaces.rootsystems import dual_weight_permutation
-from test_catalog import _copy_tables
 
 # so(2r)/so(r+1) at odd r, where -w0 is the fork swap, in survey order
 _ITEM1 = ["so(10)/so(6)", "so(14)/so(8)", "so(18)/so(10)", "so(22)/so(12)"]
@@ -63,11 +62,10 @@ def test_central_torus_characters_are_negated(text):
     assert pair.center_dim and _dual(pair, space) == space
 
 
-def test_minus_w0_catches_a_shifted_generator_list(tmp_path, monkeypatch):
+def test_minus_w0_catches_a_shifted_generator_list(planted_tables):
     # T1.4:3 with every generator index shifted by one: the survey still
     # answers, and each sl(2n)/sp(2n) space loses its -w0 symmetry
-    _copy_tables(tmp_path, 'gens="pi(2*i) : i=1..n-1"', 'gens="pi(2*i-1) : i=1..n-1"')
-    monkeypatch.setenv("CARTAN_DATA_DIR", str(tmp_path))
+    planted_tables('gens="pi(2*i) : i=1..n-1"', 'gens="pi(2*i-1) : i=1..n-1"')
     rows = survey_pairs(12)
     assert len(rows) == 459
     assert _not_self_dual(rows) == [f"sl({2 * n})/sp({2 * n})" for n in range(2, 7)] + _ITEM1
