@@ -20,7 +20,6 @@ import itertools
 import os
 import re
 import threading
-from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -47,6 +46,7 @@ from .rootsystems import (
     size_dim,
     weyl_dim,
 )
+from .values import Value
 
 TABLE_FILES = {
     "T1.4": "t14.tbl",
@@ -112,12 +112,15 @@ def _value(arg: str | None, params: dict) -> int | None:
     return None if arg is None else exprs.evaluate_int(arg, params)
 
 
-@dataclass(frozen=True)
-class TypePattern:
+class TypePattern(Value):
     """A parameterized simple-type expression such as so(4*n+2) or X(r)."""
 
-    base: str  # 'sl' | 'so' | 'sp' | rank-form series letter | 'X' | exceptional name
-    arg: str | None
+    _fields = ("base", "arg")
+
+    def __init__(self, base: str, arg: str | None):
+        # 'sl' | 'so' | 'sp' | rank-form series letter | 'X' | exceptional name
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "arg", arg)
 
     def resolve(self, params: dict) -> SimpleType:
         if self.base == "X":
@@ -153,11 +156,13 @@ def parse_g_pattern(text: str) -> tuple[TypePattern, ...]:
 ITEM_BASES = {"sl", "so", "sp", "spin", "g2", "f4", "e6", "e7", "diag", "bridge", "sl2long"}
 
 
-@dataclass(frozen=True)
-class ItemPattern:
-    base: str
-    arg: str | None
-    targets: tuple[int, ...]  # 0-based positions in the row's g pattern
+class ItemPattern(Value):
+    _fields = ("base", "arg", "targets")
+
+    def __init__(self, base: str, arg: str | None, targets: tuple[int, ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "targets", targets)  # 0-based positions in the row's g pattern
 
 
 def parse_h_pattern(text: str) -> tuple[ItemPattern, ...]:
@@ -195,12 +200,15 @@ def size_type(base: str, size: int | None) -> SimpleType:
 _WTERM = re.compile(r"pi(\*?)('{0,2})\(([^()]*)\)$")
 
 
-@dataclass(frozen=True)
-class WeightGroup:
+class WeightGroup(Value):
     """One generator group: a list of weight sums, optionally ranged."""
 
-    sums: tuple[tuple[tuple[bool, int, str], ...], ...]  # (dualize, factor, index expr)
-    rng: tuple[str, str, str] | None                     # (var, lo, hi)
+    _fields = ("sums", "rng")
+
+    def __init__(self, sums: tuple[tuple[tuple[bool, int, str], ...], ...],
+                 rng: tuple[str, str, str] | None):
+        object.__setattr__(self, "sums", sums)  # terms (dualize, factor, index expr)
+        object.__setattr__(self, "rng", rng)    # (var, lo, hi)
 
 
 _RANGE = re.compile(r"\s*(\w+)\s*=\s*(.+?)\s*\.\.\s*(.+?)\s*$")
@@ -376,15 +384,21 @@ _ROW_FIELDS = {
 _AFFINE_ARG = re.compile(r"(?:([1-9]\d*)\*)?([A-Za-z_]\w*)([+-]\d+)?")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    table: str
-    row: str          # row number as text ('3') or a series key ('G')
-    g_pattern: tuple[TypePattern, ...]
-    h_pattern: tuple[ItemPattern, ...]
-    constraints: tuple[str, ...]
-    gens: tuple[WeightGroup, ...]
-    aux: dict = field(default_factory=dict, compare=False)  # the row's other fields, parsed
+class CatalogEntry(Value):
+    _fields = ("table", "row", "g_pattern", "h_pattern", "constraints", "gens", "aux")
+    _compared = _fields[:-1]
+
+    def __init__(self, table: str, row: str, g_pattern: tuple[TypePattern, ...],
+                 h_pattern: tuple[ItemPattern, ...], constraints: tuple[str, ...],
+                 gens: tuple[WeightGroup, ...], aux: dict | None = None):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "row", row)  # row number as text ('3') or a series key ('G')
+        object.__setattr__(self, "g_pattern", g_pattern)
+        object.__setattr__(self, "h_pattern", h_pattern)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "gens", gens)
+        # the row's other fields, parsed; left out of eq and hash
+        object.__setattr__(self, "aux", {} if aux is None else aux)
 
     @property
     def row_id(self) -> str:
@@ -553,8 +567,7 @@ def lookup(table: str, row) -> CatalogEntry:
 # reductive pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HItem:
+class HItem(Value):
     """One subalgebra item of a pair: a named embedded ideal.
 
     `base` and `size` are the surface description (sl/so/sp/spin with the
@@ -563,20 +576,18 @@ class HItem:
     otherwise.  A diag item carries its type.
     """
 
-    base: str
-    size: int | None
-    targets: tuple[int, ...]
-    diag_type: SimpleType | None = None
+    _fields = ("base", "size", "targets", "diag_type")
 
-    def __post_init__(self):
-        b, n = self.base, self.size
+    def __init__(self, base: str, size: int | None, targets: tuple[int, ...],
+                 diag_type: SimpleType | None = None):
+        b, n = base, size
         two = b in ("diag", "bridge")
-        if len(self.targets) != 1 + two:
+        if len(targets) != 1 + two:
             raise ConstraintError(f"{b} lives in {'two factors' if two else 'one factor'}, "
-                                  f"not {len(self.targets)}")
-        if len(set(self.targets)) < len(self.targets):
-            raise ConstraintError(f"{b} names factor {self.targets[0] + 1} twice")
-        if b == "diag" and self.diag_type is None:
+                                  f"not {len(targets)}")
+        if len(set(targets)) < len(targets):
+            raise ConstraintError(f"{b} names factor {targets[0] + 1} twice")
+        if b == "diag" and diag_type is None:
             raise ConstraintError("diag needs its type")
         if b in ("sl", "so", "sp", "spin") and not isinstance(n, int):
             raise ConstraintError(f"{b} needs an integer size, got {n!r}")
@@ -588,6 +599,23 @@ class HItem:
             raise ConstraintError(f"so({n}) is not available")
         if b == "spin" and n != 7:
             raise ConstraintError("only spin(7) is a named spinor subalgebra")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "diag_type", diag_type)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.base, self.size, self.targets, self.diag_type)
+                    == (other.base, other.size, other.targets, other.diag_type))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.size, self.targets, self.diag_type))
+
+    def retarget(self, targets: tuple[int, ...]) -> HItem:
+        """The same ideal in the factors `targets`, checked as a new item."""
+        return HItem(self.base, self.size, targets, self.diag_type)
 
     @property
     def dim(self) -> int:
@@ -618,8 +646,7 @@ class HItem:
         return name
 
 
-@dataclass(frozen=True)
-class ReductivePair:
+class ReductivePair(Value):
     """A reductive ambient algebra with an embedded reductive subalgebra.
 
     The central subspace, when present, lives in coordinates
@@ -630,12 +657,14 @@ class ReductivePair:
     item whose type is not that of its factors.
     """
 
-    factors: tuple[SimpleType, ...]
-    center_dim: int = 0
-    items: tuple[HItem, ...] = ()
-    center: RationalSubspace | None = None
+    _fields = ("factors", "center_dim", "items", "center")
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple[SimpleType, ...], center_dim: int = 0,
+                 items: tuple[HItem, ...] = (), center: RationalSubspace | None = None):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "center_dim", center_dim)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "center", center)
         if self.weight_ambient > AMBIENT_CEILING:
             raise ConstraintError(
                 f"weight ambient {self.weight_ambient} (rank {self.rank_g} plus "
@@ -807,7 +836,7 @@ def match_t14(g_types: Sequence[SimpleType], items: Sequence[HItem]):
 def family_row_for_factor(g_type: SimpleType, items: Sequence[HItem]) -> RowInstance | None:
     """The central-extension family row covering one factor's items, if any,
     instantiated at the matched parameters (cached by the catalog)."""
-    local = tuple(sorted((replace(it, targets=(0,)) for it in items),
+    local = tuple(sorted((it.retarget((0,)) for it in items),
                          key=lambda it: (it.base, it.size or 0)))
     return get_catalog().family_row(g_type, local)
 
@@ -816,16 +845,20 @@ def family_row_for_factor(g_type: SimpleType, items: Sequence[HItem]) -> RowInst
 # instantiation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RowInstance:
+class RowInstance(Value):
     """A catalog row at concrete parameters."""
 
-    entry: CatalogEntry
-    params: dict
-    g_types: tuple[SimpleType, ...]
-    items: tuple[HItem, ...]
-    gens: tuple[tuple[int, ...], ...]  # integers; ambient: concatenated weight blocks
-    aux: dict
+    _fields = ("entry", "params", "g_types", "items", "gens", "aux")
+
+    def __init__(self, entry: CatalogEntry, params: dict, g_types: tuple[SimpleType, ...],
+                 items: tuple[HItem, ...], gens: tuple[tuple[int, ...], ...], aux: dict):
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "g_types", g_types)
+        object.__setattr__(self, "items", items)
+        # integers; ambient: concatenated weight blocks
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "aux", aux)
 
     @property
     def ambient(self) -> int:
@@ -996,11 +1029,13 @@ def sample_params(entry: CatalogEntry) -> list[dict]:
 # self-verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str
+class Check(Value):
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self) -> str:
         mark = "pass" if self.passed else "FAIL"

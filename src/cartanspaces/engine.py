@@ -30,7 +30,6 @@ the subalgebra live in the separate coordinate space
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -60,15 +59,20 @@ from .ratlinalg import (
     span,
 )
 from .rootsystems import CLASSICAL, build_root_system, cartan_matrix
+from .values import Value
 
 
-@dataclass(frozen=True)
-class EssentialPart:
+class EssentialPart(Value):
     """The retained ideals and central part with the same Cartan space."""
 
-    item_indices: tuple[int, ...]    # positions within the pair's item list
-    items: tuple[HItem, ...]
-    center_rows: tuple[Vector, ...]  # in the pair's central coordinates
+    _fields = ("item_indices", "items", "center_rows")
+
+    def __init__(self, item_indices: tuple[int, ...], items: tuple[HItem, ...],
+                 center_rows: tuple[Vector, ...]):
+        # positions within the pair's item list
+        object.__setattr__(self, "item_indices", item_indices)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "center_rows", center_rows)  # in the pair's central coordinates
 
     def describe(self) -> str:
         parts = [it.describe() for it in self.items]
@@ -77,13 +81,16 @@ class EssentialPart:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class CartanResult:
-    space: RationalSubspace
-    rank: int
-    essential: EssentialPart
-    complexity: int
-    trace: tuple[str, ...]
+class CartanResult(Value):
+    _fields = ("space", "rank", "essential", "complexity", "trace")
+
+    def __init__(self, space: RationalSubspace, rank: int, essential: EssentialPart,
+                 complexity: int, trace: tuple[str, ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "essential", essential)
+        object.__setattr__(self, "complexity", complexity)
+        object.__setattr__(self, "trace", trace)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +140,7 @@ def _summands(pair: ReductivePair):
     for r, (fs, its, rs) in groups.items():
         new = {f: k for k, f in enumerate(fs)}
         center_dim = pair.center_dim if r == root[znode] else 0
-        items = tuple(replace(pair.items[i], targets=tuple(new[t] for t in pair.items[i].targets))
+        items = tuple(pair.items[i].retarget(tuple(new[t] for t in pair.items[i].targets))
                       for i in its)
         sub = ReductivePair(tuple(pair.factors[f] for f in fs), center_dim, items,
                             _central_part(pair, rs, new, center_dim))
@@ -381,13 +388,15 @@ def complexity_of_space(pair: ReductivePair, space: RationalSubspace) -> int:
 # diagram twisting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(Value):
     """An outer symmetry: a permutation of isomorphic factors composed with
     per-factor diagram symmetries (0-based node permutations)."""
 
-    factor_perm: tuple[int, ...]
-    node_perms: tuple[tuple[int, ...], ...]
+    _fields = ("factor_perm", "node_perms")
+
+    def __init__(self, factor_perm: tuple[int, ...], node_perms: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "factor_perm", factor_perm)
+        object.__setattr__(self, "node_perms", node_perms)
 
 
 def _validate_twist(pair: ReductivePair, tw: Twist) -> None:

@@ -34,7 +34,6 @@ at fault.  Besides the rank ceiling of each factor, the weight ambient
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 from . import catalog as cat
@@ -202,7 +201,7 @@ class _Parser:
             if self.factors[t] != inst.g_types[p]:
                 self.err(at, f"{entry.row_id} needs {inst.g_types[p]} at position {p + 1}, "
                              f"factor {t + 1} is {self.factors[t]}")
-        return [replace(it, targets=tuple(targets[p] for p in it.targets)) for it in inst.items]
+        return [it.retarget(tuple(targets[p] for p in it.targets)) for it in inst.items]
 
     def targets(self, sel: str | None, at: int, count: int) -> tuple[int, ...]:
         """The factors an item of `count` targets lives in: those its 'in'

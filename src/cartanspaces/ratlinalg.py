@@ -13,12 +13,12 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ContractError, DimensionError
+from .values import Value
 
 Vector = tuple[Fraction, ...]
 _UNIT = (Fraction(0), Fraction(1))
@@ -69,12 +69,14 @@ def rref(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[list[list[Frac
             for row, c in zip(m, pivots)], pivots
 
 
-@dataclass(frozen=True)
-class RationalSubspace:
+class RationalSubspace(Value):
     """A linear subspace of Q^ambient_dim in canonical reduced form."""
 
-    ambient_dim: int
-    basis: tuple[Vector, ...]
+    _fields = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: tuple[Vector, ...]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:

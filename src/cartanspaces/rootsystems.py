@@ -23,7 +23,6 @@ reads it: `CLASSICAL`, `EXCEPTIONAL`, `size_dim`, `SimpleType.name` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, compress
@@ -31,6 +30,7 @@ from operator import mul, neg
 
 from .errors import ConstraintError, DimensionError
 from .ratlinalg import Vector, combine, dot, rref
+from .values import Value
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
@@ -72,22 +72,28 @@ def size_dim(name: str, n: int) -> int:
     return n * (n + 1) // 2
 
 
-@dataclass(frozen=True)
-class SimpleType:
+class SimpleType(Value):
     """A simple Lie algebra type: series letter plus rank."""
 
-    series: str
-    rank: int
+    _fields = ("series", "rank")
 
-    def __post_init__(self):
-        if self.series not in SERIES_MIN_RANK:
-            raise ConstraintError(f"unknown series {self.series!r}")
-        lo = SERIES_MIN_RANK[self.series]
-        hi = SERIES_MAX_RANK.get(self.series, RANK_CEILING)
-        if not (isinstance(self.rank, int) and lo <= self.rank <= hi):
-            raise ConstraintError(
-                f"rank {self.rank} invalid for series {self.series} (allowed {lo}..{hi})"
-            )
+    def __init__(self, series: str, rank: int):
+        if series not in SERIES_MIN_RANK:
+            raise ConstraintError(f"unknown series {series!r}")
+        lo = SERIES_MIN_RANK[series]
+        hi = SERIES_MAX_RANK.get(series, RANK_CEILING)
+        if not (isinstance(rank, int) and lo <= rank <= hi):
+            raise ConstraintError(f"rank {rank} invalid for series {series} (allowed {lo}..{hi})")
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.series, self.rank) == (other.series, other.rank)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.series, self.rank))
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -219,8 +225,7 @@ def vo_to_bourbaki(t: SimpleType) -> tuple[int, ...]:
     return VO_TO_BOURBAKI.get((t.series, t.rank), tuple(range(1, t.rank + 1)))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Value):
     """An exact realization of a simple root system.
 
     `positive_coords[k]` are the simple-root coordinates of
@@ -231,12 +236,18 @@ class RootSystem:
     coordinates nor fundamental weights.
     """
 
-    stype: SimpleType
-    ambient_dim: int
-    simple_roots: tuple[Vector, ...]
-    positive_roots: tuple[Vector, ...]
-    positive_coords: tuple[tuple[int, ...], ...]
-    simple_norms: tuple[int, ...]
+    _fields = ("stype", "ambient_dim", "simple_roots", "positive_roots", "positive_coords",
+               "simple_norms")
+
+    def __init__(self, stype: SimpleType, ambient_dim: int, simple_roots: tuple[Vector, ...],
+                 positive_roots: tuple[Vector, ...],
+                 positive_coords: tuple[tuple[int, ...], ...], simple_norms: tuple[int, ...]):
+        object.__setattr__(self, "stype", stype)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "simple_roots", simple_roots)
+        object.__setattr__(self, "positive_roots", positive_roots)
+        object.__setattr__(self, "positive_coords", positive_coords)
+        object.__setattr__(self, "simple_norms", simple_norms)
 
     @property
     def rank(self) -> int:

@@ -3,10 +3,15 @@ but itself and the standard library.
 
 A function-local import of a package module hides a dependency cycle
 instead of breaking it; standard-library imports inside a function (such as
-`cli.main`'s argparse) stay allowed.
+`cli.main`'s argparse) stay allowed.  Loading the CLI and the catalog
+imports neither `dataclasses` nor `inspect`: generating dataclass methods
+at import, and importing `inspect` for them, cost about a quarter of every
+command's start-up.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -80,3 +85,19 @@ def test_only_the_standard_library_is_imported():
     for path in SOURCES:
         found = foreign_imports(ast.parse(path.read_text(), str(path)))
         assert not found, (path.name, found)
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    src = str(Path(cartanspaces.__file__).resolve().parents[1])
+    probe = ("import sys, cartanspaces.cli; cartanspaces.cli.get_catalog(); "
+             "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names]
+        names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert "dataclasses" not in names, path.name

@@ -5,12 +5,19 @@ lambda* = -w0 lambda.  So every Cartan space is stable under lambda -> -w0
 lambda: pi_i -> pi_sigma(i) factor by factor (`dual_weight_permutation`:
 sigma reverses A, swaps the fork of D_r at odd r and swaps 1-5 and 2-4 in
 E6), with the characters of the central torus negated.
+
+A pair's answer does not depend on how it is spelled: with its items in
+another order and its factors permuted, its space is the same up to the
+induced permutation of the weight blocks.
 """
+
+from collections import Counter
 
 import pytest
 
 from cartanspaces.cli import survey_pairs
 from cartanspaces.engine import cartan_space
+from cartanspaces.catalog import ReductivePair
 from cartanspaces.pairs import format_pair, parse_pair
 from cartanspaces.ratlinalg import RationalSubspace, span
 from cartanspaces.rootsystems import dual_weight_permutation
@@ -69,3 +76,36 @@ def test_minus_w0_catches_a_shifted_generator_list(planted_tables):
     rows = survey_pairs(12)
     assert len(rows) == 459
     assert _not_self_dual(rows) == [f"sl({2 * n})/sp({2 * n})" for n in range(2, 7)] + _ITEM1
+
+
+_SPELLED = survey_pairs(6)
+
+
+@pytest.mark.parametrize("pair, result", [pytest.param(pair, result, id=format_pair(pair))
+                                          for _, pair, result in _SPELLED])
+def test_answer_does_not_depend_on_the_spelling(pair, result):
+    # items reversed and factors reversed: new factor j is old factor order[j]
+    order = range(len(pair.factors))[::-1]
+    new = {f: j for j, f in enumerate(order)}
+    assert pair.center is None or len(order) == 1  # else the central slots move too
+    items = tuple(it.retarget(tuple(new[t] for t in it.targets)) for it in reversed(pair.items))
+    respelled = ReductivePair(tuple(pair.factors[f] for f in order), pair.center_dim, items,
+                              pair.center)
+    cols = {c: respelled.columns(new[f])[i] for f in range(len(order))
+            for i, c in enumerate(pair.columns(f))}
+    moved = [[0] * pair.weight_ambient for _ in result.space.basis]
+    for v, b in zip(moved, result.space.basis):
+        for c, x in enumerate(b):
+            v[cols.get(c, c)] = x
+    got = cartan_space(respelled)
+    assert got.space == span(moved, pair.weight_ambient)
+    assert (got.rank, got.complexity) == (result.rank, result.complexity)
+    assert sorted(got.trace) == sorted(result.trace)
+    assert Counter(got.essential.items) == Counter(
+        it.retarget(tuple(new[t] for t in it.targets)) for it in result.essential.items)
+
+
+def test_spelling_covers_two_factor_and_multi_item_pairs():
+    assert len(_SPELLED) == 124
+    assert sum(len(pair.factors) == 2 for _, pair, _ in _SPELLED) == 15
+    assert sum(len(pair.items) > 1 for _, pair, _ in _SPELLED) == 29
