@@ -21,9 +21,6 @@ from .engine import (
     Twist,
     alpha_functional,
     cartan_space,
-    decompose,
-    essential_pair,
-    essential_part,
     levi_centralizer_dim,
     twist,
 )
@@ -51,7 +48,6 @@ from .rootsystems import (
     RootSystem,
     SimpleType,
     build_root_system,
-    diagram_automorphisms,
     highest_root,
     k_value,
     sl,

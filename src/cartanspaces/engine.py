@@ -7,13 +7,13 @@ space is assembled from the stored data.  Anything else is rejected with a
 precise reason; nothing is extrapolated.
 
 Pipeline: one pass (`_summands`) splits the pair into its indecomposable
-summands and yields each as a standalone pair (the list `decompose`
-returns) with the pair's column behind each of its weight coordinates, its
-item positions and its central rows.  `_row_answer` computes a summand's
-space in its own coordinates from the table rows found for it.  A Table 1.6
-summand is cut in the quotient a(g,h)/sat: its space is every saturated
-space plus the combinations of the z0 and lam directions that its central
-rows annihilate, read off the duality values.  A bare Table 1.6 family
+summands and yields each as a standalone pair with the pair's column
+behind each of its weight coordinates, its item positions and its central
+rows.  `_row_answer` computes a summand's space in its own coordinates
+from the table rows found for it.  A Table 1.6 summand is cut in the
+quotient a(g,h)/sat: its space is every saturated space plus the
+combinations of the z0 and lam directions that its central rows
+annihilate, read off the duality values.  A bare Table 1.6 family
 member is answered as the full block that its checked row guarantees.
 `_assemble` puts each space into the pair's columns (`_moved`), where the
 space is the block sum.
@@ -160,11 +160,6 @@ def _central_part(pair: ReductivePair, rows: Sequence[Vector], factors: Containe
     return span([[r[c] for c in cols] for r in rows], len(cols))
 
 
-def decompose(pair: ReductivePair) -> list[ReductivePair]:
-    """Split a pair into its indecomposable direct summands."""
-    return [sub for sub, *_ in _summands(pair)]
-
-
 # ---------------------------------------------------------------------------
 # per-summand computation
 # ---------------------------------------------------------------------------
@@ -301,21 +296,6 @@ def row_result(inst: RowInstance) -> CartanResult:
     return _result(pair, vectors, ess, trace)
 
 
-def essential_part(pair: ReductivePair) -> EssentialPart:
-    """The maximal ideal of h with the same Cartan space."""
-    return _assemble(pair)[1]
-
-
-def essential_pair(pair: ReductivePair) -> ReductivePair:
-    """The essential part repackaged as a pair on the same ambient algebra."""
-    ess = essential_part(pair)
-    items = tuple(pair.items[i] for i in ess.item_indices)
-    # a summand keeps all its items or none: a factor with a kept item keeps its slot
-    kept = {t for it in items for t in it.targets}
-    return ReductivePair(pair.factors, pair.center_dim, items,
-                         _central_part(pair, ess.center_rows, kept, pair.center_dim))
-
-
 def levi_centralizer_dim(pair: ReductivePair, space: RationalSubspace) -> int:
     """Dimension of the centralizer of the space: rank + center + fixed roots.
 
@@ -407,7 +387,7 @@ def _validate_twist(pair: ReductivePair, tw: Twist) -> None:
         if pair.factors[i] != pair.factors[p]:
             raise ConstraintError(
                 f"twist maps factor {pair.factors[i]} onto non-isomorphic {pair.factors[p]}")
-        # checked directly: listing every symmetry (`diagram_automorphisms`) is O(l^4)
+        # checked against the Cartan matrix: listing every symmetry is O(l^4)
         perm, t = tw.node_perms[i], pair.factors[i]
         C = cartan_matrix(t)
         if sorted(perm) != list(range(t.rank)) or any(

@@ -182,9 +182,17 @@ class _Parser:
             params[pm[1]] = self.number(at, pm[2]) if pm[2].isdigit() else pm[2]
         try:
             entry = cat.lookup(table, row)
-            for name in params:
+            for name, value in params.items():
                 if name not in entry.variables:
                     raise ConstraintError(f"{entry.row_id} has no parameter {name!r}")
+                if (name == "s") != isinstance(value, str):
+                    kind = "a series letter" if name == "s" else "a number"
+                    raise ConstraintError(f"{entry.row_id} parameter {name!r} must be {kind}, "
+                                          f"not {value!r}")
+            missing = [name for name in entry.variables if name not in params]
+            if missing:
+                raise ConstraintError(f"{entry.row_id} needs parameter"
+                                      f"{'s' * (len(missing) > 1)} {', '.join(map(repr, missing))}")
             inst = instantiate(entry, params)
         except CartanError as exc:
             self.err(at, str(exc))

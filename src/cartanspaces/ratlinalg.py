@@ -24,10 +24,6 @@ Vector = tuple[Fraction, ...]
 _UNIT = (Fraction(0), Fraction(1))
 
 
-def vec(entries: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in entries)
-
-
 def dot(u: Vector, v: Vector):
     """Exact inner product; stays in int when both vectors are integral."""
     if len(u) != len(v):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, compress
-from operator import mul, neg
+from operator import mul
 
 from .errors import ConstraintError, DimensionError
 from .ratlinalg import Vector, combine, dot, rref
@@ -258,13 +258,6 @@ class RootSystem(Value):
         return cartan_matrix(self.stype)
 
     @cached_property
-    def roots(self) -> tuple[Vector, ...]:
-        """All roots, sorted, built from the positive ones on first use (the
-        complexity count reads only the positive ones)."""
-        negative = tuple(tuple(map(neg, r)) for r in self.positive_roots)
-        return tuple(sorted(self.positive_roots + negative))
-
-    @cached_property
     def k(self) -> int:
         """`k_value` at the highest root, computed on first use."""
         return k_value(self)
@@ -275,17 +268,6 @@ class RootSystem(Value):
         cinv = _invert([[Fraction(x) for x in row] for row in self.cartan_matrix])
         return tuple(combine([row[i] for row in cinv], self.simple_roots, self.ambient_dim)
                      for i in range(self.rank))
-
-    def pairing(self, beta: Vector, alpha: Vector) -> Fraction:
-        """<beta, alpha^vee> = 2(beta,alpha)/(alpha,alpha)."""
-        return 2 * dot(beta, alpha) / dot(alpha, alpha)
-
-    def weight_vector(self, coeffs) -> Vector:
-        """Ambient coordinates of sum coeffs[i] * pi_{i+1}.  Kept as a reference:
-        the Levi count of tests/test_complexity.py reads it."""
-        if len(coeffs) != self.rank:
-            raise DimensionError(f"{len(coeffs)} coefficients for rank {self.rank}")
-        return combine(coeffs, self.fundamental_weights, self.ambient_dim)
 
 
 def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -440,35 +422,6 @@ def weyl_dim(rs: RootSystem, coeffs) -> int:
     if num % den:
         raise ConstraintError("Weyl dimension came out non-integral")
     return num // den
-
-
-def diagram_automorphisms(rs: RootSystem) -> list[tuple[int, ...]]:
-    """All symmetries of the Dynkin diagram, as 0-based index permutations.
-    O(l^4), and kept as a reference: the twist tests draw their twists from it."""
-    l = rs.rank
-    C = rs.cartan_matrix
-    results: list[tuple[int, ...]] = []
-
-    def extend(img: list[int], used: set[int]):
-        i = len(img)
-        if i == l:
-            results.append(tuple(img))
-            return
-        for cand in range(l):
-            if cand in used:
-                continue
-            if C[cand][cand] != C[i][i]:
-                continue
-            ok = True
-            for j in range(i):
-                if C[i][j] != C[cand][img[j]] or C[j][i] != C[img[j]][cand]:
-                    ok = False
-                    break
-            if ok:
-                extend(img + [cand], used | {cand})
-
-    extend([], set())
-    return sorted(results)
 
 
 def dual_weight_permutation(t: SimpleType) -> tuple[int, ...]:

@@ -24,7 +24,6 @@ from cartanspaces.engine import (
     Twist,
     alpha_functional,
     cartan_space,
-    essential_pair,
     twist,
 )
 from cartanspaces.errors import OutsideCatalogError
@@ -33,13 +32,13 @@ from cartanspaces.ratlinalg import dot, span
 from cartanspaces.rootsystems import (
     SimpleType,
     build_root_system,
-    diagram_automorphisms,
     k_value,
     sl,
     so,
     sp,
 )
 from reference_params import box_admissible_params
+from references import diagram_automorphisms, essential_pair
 
 
 def _report(n: int, text: str):

@@ -30,8 +30,8 @@ from cartanspaces.rootsystems import (
     SERIES_MIN_RANK,
     SimpleType,
     build_root_system,
-    diagram_automorphisms,
 )
+from references import diagram_automorphisms, weight_vector
 
 
 def reference_levi_dim(pair, space):
@@ -44,7 +44,7 @@ def reference_levi_dim(pair, space):
         weights = []
         for b in space.basis:
             if any(b[offset: offset + t.rank]):
-                w = rs.weight_vector(b[offset: offset + t.rank])
+                w = weight_vector(rs, b[offset: offset + t.rank])
                 den = lcm(*(x.denominator for x in w))
                 weights.append([int(x * den) for x in w])
         count += 2 * sum(1 for beta in rs.positive_roots

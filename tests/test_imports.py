@@ -6,13 +6,16 @@ instead of breaking it; standard-library imports inside a function (such as
 `cli.main`'s argparse) stay allowed.  Loading the CLI and the catalog
 imports neither `dataclasses` nor `inspect`: generating dataclass methods
 at import, and importing `inspect` for them, cost about a quarter of every
-command's start-up.
+command's start-up.  The package ships only what it runs: every public
+function, class, method and property has a use in the package itself,
+and reference code that only tests read lives in `tests/references.py`.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import cartanspaces
@@ -101,3 +104,71 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
                  for a in node.names]
         names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         assert "dataclasses" not in names, path.name
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) of each public top-level function and class, and of each
+    public method and property of a public class, as `Class.name`."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{m.name}", m) for m in node.body
+                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return found
+
+
+def unused_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.name` of each public definition that no code in `trees` reads
+    outside the definition itself.  A method or property is read only as an
+    attribute (`x.roots`), so a local variable of its name does not count; a
+    function or class is read by its name or as a module attribute.  An
+    import is not a read, so `__init__`'s re-exports do not count either."""
+    by_name, by_attr = defaultdict(set), defaultdict(set)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                by_name[node.id].add(id(node))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                by_attr[node.attr].add(id(node))
+    unused = []
+    for module, tree in trees.items():
+        for name, node in public_definitions(tree):
+            reads = by_attr[node.name] | (set() if "." in name else by_name[node.name])
+            if not reads - {id(n) for n in ast.walk(node)}:
+                unused.append(f"{module}.{name}")
+    return sorted(unused)
+
+
+# public names that no command reaches, each held by the ROADMAP item it names
+KEPT_WITHOUT_A_CALLER = {
+    "engine.alpha_functional": "ROADMAP item 5: benchmark/tracer.py wraps it",
+    "ratlinalg.annihilator_preimage": "ROADMAP item 5: benchmark/tracer.py wraps it",
+    "rootsystems.RootSystem.fundamental_weights":
+        "ROADMAP item 5: its _invert is the only use of rootsystems.rref, which "
+        "benchmark/test_benchmark.py asserts",
+    "engine.twist": "ROADMAP item 16: waits on the coverage decision",
+}
+
+
+def test_every_public_name_has_a_use_in_the_package():
+    probe = {"probe": ast.parse(
+        "def entry(r):\n"            # nobody calls it
+        "    return helper(r).rank\n"
+        "def helper(r):\n"
+        "    roots = [r]\n"            # a local name is not a read of R.roots
+        "    return R(roots)\n"
+        "def alone(n):\n"            # read only inside its own body
+        "    return alone(n - 1) if n else 0\n"
+        "class R:\n"
+        "    def __init__(self, gens):\n"
+        "        self._gens = gens\n"
+        "    @property\n"
+        "    def rank(self):\n"       # read as an attribute only
+        "        return len(self._gens)\n"
+        "    def roots(self):\n"
+        "        return self._gens\n")}
+    assert unused_definitions(probe) == ["probe.R.roots", "probe.alone", "probe.entry"]
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert unused_definitions(trees) == sorted(KEPT_WITHOUT_A_CALLER)

@@ -14,8 +14,9 @@ import math
 
 from cartanspaces.catalog import HItem, ReductivePair
 from cartanspaces.engine import cartan_space
-from cartanspaces.ratlinalg import member, vec
+from cartanspaces.ratlinalg import member
 from cartanspaces.rootsystems import sl, so, sp
+from references import vec
 
 
 def comb(n, k):

@@ -487,10 +487,19 @@ def test_row_parameter_not_in_the_row_or_given_twice_is_refused():
         ("sl(5)/T1.4:1(n=5,k=4,j=2)", "T1.4:1 has no parameter 'j'"),
         ("sl(5)/T1.4:1(n=5,k=4,s=B)", "T1.4:1 has no parameter 's'"),
         ("sl(5)/T1.4:1(n=5,k=4,k=3)", "parameter 'k' given twice"),
+        # a missing parameter, or a value of the wrong kind, is named as such
+        ("sl(4)/T1.4:1(n=4)", "T1.4:1 needs parameter 'k' at offset"),
+        ("sl(4)/T1.4:1", "T1.4:1 needs parameters 'k', 'n' at offset"),
+        ("sl(4)/T1.4:1(k=x,n=4)", "T1.4:1 parameter 'k' must be a number, not 'x' at offset"),
+        ("sl(3)+sl(3)/T1.4:25(r=2)", "T1.4:25 needs parameter 's' at offset"),
+        ("sl(3)+sl(3)/T1.4:25(r=2,s=3)",
+         "T1.4:25 parameter 's' must be a series letter, not 3 at offset"),
+        ("sl(3)+sl(3)/T1.4:25(r=x,s=A)",
+         "T1.4:25 parameter 'r' must be a number, not 'x' at offset"),
     ]:
         with pytest.raises(PairSyntaxError, match=message) as err:
             parse_pair(text)
-        assert err.value.offset == 6, text
+        assert err.value.offset == text.index("T"), text
         # the former parser ignored the extra parameter, or kept the last value
         with contextlib.redirect_stderr(io.StringIO()):
             assert cmd_compute(text, out=io.StringIO()) == 1

@@ -13,8 +13,8 @@ from cartanspaces.ratlinalg import (
     member,
     rref,
     span,
-    vec,
 )
+from references import vec
 
 
 def test_span_empty_is_zero():
