@@ -113,14 +113,10 @@ def _value(arg: str | None, params: dict) -> int | None:
 
 
 class TypePattern(Value):
-    """A parameterized simple-type expression such as so(4*n+2) or X(r)."""
+    """A parameterized simple-type expression such as so(4*n+2) or X(r); `base` is sl, so,
+    sp, a series letter, X, or an exceptional name or a norm's torus Z with `arg` None."""
 
     _fields = ("base", "arg")
-
-    def __init__(self, base: str, arg: str | None):
-        # 'sl' | 'so' | 'sp' | rank-form series letter | 'X' | exceptional name
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "arg", arg)
 
     def resolve(self, params: dict) -> SimpleType:
         if self.base == "X":
@@ -157,12 +153,9 @@ ITEM_BASES = {"sl", "so", "sp", "spin", "g2", "f4", "e6", "e7", "diag", "bridge"
 
 
 class ItemPattern(Value):
-    _fields = ("base", "arg", "targets")
+    """A subalgebra item pattern; `targets` are 0-based positions in the row's g pattern."""
 
-    def __init__(self, base: str, arg: str | None, targets: tuple[int, ...]):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "targets", targets)  # 0-based positions in the row's g pattern
+    _fields = ("base", "arg", "targets")
 
 
 def parse_h_pattern(text: str) -> tuple[ItemPattern, ...]:
@@ -201,14 +194,10 @@ _WTERM = re.compile(r"pi(\*?)('{0,2})\(([^()]*)\)$")
 
 
 class WeightGroup(Value):
-    """One generator group: a list of weight sums, optionally ranged."""
+    """One generator group: weight sums, each a tuple of terms (dualize, factor,
+    index expression), ranged when `rng` is (variable, lo, hi) and not None."""
 
     _fields = ("sums", "rng")
-
-    def __init__(self, sums: tuple[tuple[tuple[bool, int, str], ...], ...],
-                 rng: tuple[str, str, str] | None):
-        object.__setattr__(self, "sums", sums)  # terms (dualize, factor, index expr)
-        object.__setattr__(self, "rng", rng)    # (var, lo, hi)
 
 
 _RANGE = re.compile(r"\s*(\w+)\s*=\s*(.+?)\s*\.\.\s*(.+?)\s*$")
@@ -385,20 +374,16 @@ _AFFINE_ARG = re.compile(r"(?:([1-9]\d*)\*)?([A-Za-z_]\w*)([+-]\d+)?")
 
 
 class CatalogEntry(Value):
+    """One table row: `row` is its number as text ('3') or a series key ('G'); `aux`,
+    the row's other fields parsed, is {} when not given and is left out of eq and hash."""
+
     _fields = ("table", "row", "g_pattern", "h_pattern", "constraints", "gens", "aux")
     _compared = _fields[:-1]
 
-    def __init__(self, table: str, row: str, g_pattern: tuple[TypePattern, ...],
-                 h_pattern: tuple[ItemPattern, ...], constraints: tuple[str, ...],
-                 gens: tuple[WeightGroup, ...], aux: dict | None = None):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "row", row)  # row number as text ('3') or a series key ('G')
-        object.__setattr__(self, "g_pattern", g_pattern)
-        object.__setattr__(self, "h_pattern", h_pattern)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "gens", gens)
-        # the row's other fields, parsed; left out of eq and hash
-        object.__setattr__(self, "aux", {} if aux is None else aux)
+    def __init__(self, *args, **kwargs):
+        if len(args) < len(self._fields):
+            kwargs.setdefault("aux", {})
+        super().__init__(*args, **kwargs)
 
     @property
     def row_id(self) -> str:
@@ -505,7 +490,7 @@ class Catalog:
         entry = CatalogEntry(aux.pop("table"), aux.pop("row"), aux.pop("g"), aux.pop("h", ()),
                              aux.pop("constraint", ()), aux.pop("gens", ()), aux)
         # factor numbers are 1-based: item targets and weight terms count the
-        # factors of g, module terms the simple factors of norm
+        # factors of g, module terms the simple factors of norm, ideals all of them
         factors = len(entry.g_pattern)
         for t in (t + 1 for ip in entry.h_pattern for t in ip.targets):
             if not 1 <= t <= factors:
@@ -523,6 +508,10 @@ class Catalog:
             if not 1 <= f <= factors:
                 raise TableFormatError(f"module term factor {f} is not one of the {factors} "
                                        "simple factors of norm")
+        n = len(aux.get("norm", ()))
+        for f in (f for seq, _ in aux.get("ideals", ()) for f in seq):
+            if not 1 <= f <= n:
+                raise TableFormatError(f"ideal factor {f} is not one of the {n} factors of norm")
         # matching binds each variable, and enumeration bounds it, from the
         # arguments it occurs alone in
         names = set().union(*(exprs.variables(p.arg) for p in entry.g_pattern + entry.h_pattern
@@ -530,6 +519,11 @@ class Catalog:
         missing = names - entry.affine_args.keys() - {"s"}
         if missing:
             raise TableFormatError(f"variable {min(missing)!r} occurs alone in no pattern argument")
+        for cond in (c for _, conds in aux.get("ideals", ()) for c in conds):
+            unknown = exprs.variables(cond) - set(entry.variables)
+            if unknown:
+                raise TableFormatError(f"ideal condition variable {min(unknown)!r} is not one of "
+                                       f"the {len(entry.variables)} parameters of the row")
         return entry
 
     def lookup(self, table: str, row) -> CatalogEntry:
@@ -661,10 +655,7 @@ class ReductivePair(Value):
 
     def __init__(self, factors: tuple[SimpleType, ...], center_dim: int = 0,
                  items: tuple[HItem, ...] = (), center: RationalSubspace | None = None):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "center_dim", center_dim)
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "center", center)
+        super().__init__(factors, center_dim, items, center)
         if self.weight_ambient > AMBIENT_CEILING:
             raise ConstraintError(
                 f"weight ambient {self.weight_ambient} (rank {self.rank_g} plus "
@@ -846,19 +837,9 @@ def family_row_for_factor(g_type: SimpleType, items: Sequence[HItem]) -> RowInst
 # ---------------------------------------------------------------------------
 
 class RowInstance(Value):
-    """A catalog row at concrete parameters."""
+    """A catalog row at concrete parameters; `gens` are integer weights in concatenated blocks."""
 
     _fields = ("entry", "params", "g_types", "items", "gens", "aux")
-
-    def __init__(self, entry: CatalogEntry, params: dict, g_types: tuple[SimpleType, ...],
-                 items: tuple[HItem, ...], gens: tuple[tuple[int, ...], ...], aux: dict):
-        object.__setattr__(self, "entry", entry)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "g_types", g_types)
-        object.__setattr__(self, "items", items)
-        # integers; ambient: concatenated weight blocks
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "aux", aux)
 
     @property
     def ambient(self) -> int:
@@ -1031,11 +1012,6 @@ def sample_params(entry: CatalogEntry) -> list[dict]:
 
 class Check(Value):
     _fields = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
 
     def __str__(self) -> str:
         mark = "pass" if self.passed else "FAIL"

@@ -38,7 +38,6 @@ from typing import Container, Sequence
 
 from .catalog import (
     CatalogEntry,
-    HItem,
     ReductivePair,
     RowInstance,
     instantiate,
@@ -63,16 +62,10 @@ from .values import Value
 
 
 class EssentialPart(Value):
-    """The retained ideals and central part with the same Cartan space."""
+    """The retained ideals, at `item_indices` in the pair's item list, and central part,
+    `center_rows` in the pair's central coordinates, with the same Cartan space."""
 
     _fields = ("item_indices", "items", "center_rows")
-
-    def __init__(self, item_indices: tuple[int, ...], items: tuple[HItem, ...],
-                 center_rows: tuple[Vector, ...]):
-        # positions within the pair's item list
-        object.__setattr__(self, "item_indices", item_indices)
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "center_rows", center_rows)  # in the pair's central coordinates
 
     def describe(self) -> str:
         parts = [it.describe() for it in self.items]
@@ -83,14 +76,6 @@ class EssentialPart(Value):
 
 class CartanResult(Value):
     _fields = ("space", "rank", "essential", "complexity", "trace")
-
-    def __init__(self, space: RationalSubspace, rank: int, essential: EssentialPart,
-                 complexity: int, trace: tuple[str, ...]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "essential", essential)
-        object.__setattr__(self, "complexity", complexity)
-        object.__setattr__(self, "trace", trace)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +358,6 @@ class Twist(Value):
     per-factor diagram symmetries (0-based node permutations)."""
 
     _fields = ("factor_perm", "node_perms")
-
-    def __init__(self, factor_perm: tuple[int, ...], node_perms: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "factor_perm", factor_perm)
-        object.__setattr__(self, "node_perms", node_perms)
 
 
 def _validate_twist(pair: ReductivePair, tw: Twist) -> None:

@@ -70,10 +70,6 @@ class RationalSubspace(Value):
 
     _fields = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis: tuple[Vector, ...]):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-
     @property
     def dim(self) -> int:
         return len(self.basis)

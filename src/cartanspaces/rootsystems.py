@@ -239,16 +239,6 @@ class RootSystem(Value):
     _fields = ("stype", "ambient_dim", "simple_roots", "positive_roots", "positive_coords",
                "simple_norms")
 
-    def __init__(self, stype: SimpleType, ambient_dim: int, simple_roots: tuple[Vector, ...],
-                 positive_roots: tuple[Vector, ...],
-                 positive_coords: tuple[tuple[int, ...], ...], simple_norms: tuple[int, ...]):
-        object.__setattr__(self, "stype", stype)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "simple_roots", simple_roots)
-        object.__setattr__(self, "positive_roots", positive_roots)
-        object.__setattr__(self, "positive_coords", positive_coords)
-        object.__setattr__(self, "simple_norms", simple_norms)
-
     @property
     def rank(self) -> int:
         return self.stype.rank

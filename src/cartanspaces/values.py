@@ -1,13 +1,13 @@
 """The base of the package's immutable value classes.
 
-A value class writes out its own `__init__`, which checks the arguments
-and sets each field with `object.__setattr__`, and names its fields in
-`_fields`.  This base refuses every later assignment or deletion, prints
-`Name(field=value, ...)`, and compares and hashes two values of the same
-class by the fields in `_compared` (all of `_fields` when that is None).
-`SimpleType` and `HItem`, compared and hashed on the matching path, write
-out their own `__eq__` and `__hash__` by the same rule.  A `cached_property`
-stores its value in the instance `__dict__`, past `__setattr__`.
+A class names its fields once, in `_fields`, in order; one that only stores
+them declares nothing more.  The base builds a value by position or keyword,
+refuses later assignment or deletion, prints `Name(field=value, ...)`, and
+compares and hashes values of one class by `_compared` (all of `_fields` when
+None).  A class with defaults or checks ends its `__init__` in this one.  Only
+`SimpleType` and `HItem`, hot on the matching path, write out `__init__`,
+`__eq__` and `__hash__`, for speed.  A `cached_property` stores its value in
+the instance `__dict__`, past `__setattr__`.
 """
 
 from __future__ import annotations
@@ -16,6 +16,14 @@ from __future__ import annotations
 class Value:
     _fields: tuple[str, ...] = ()
     _compared: tuple[str, ...] | None = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__qualname__} takes each of {fields} once")
+        vars(self).update(zip(fields, args))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

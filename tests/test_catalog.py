@@ -179,6 +179,14 @@ def test_parse_error_reports_line_number(planted_tables):
     ("t14.tbl", "h=diag@1,2", "h=diag@1,1", "t14.tbl:32: item targets '1,1' name a factor twice"),
     ("t48.tbl", 'mods="tau(1)*tau(2)"', 'mods="tau(1)*tau(3)"',
      "t48.tbl:16: module term factor 3 is not one of the 2 simple factors of norm"),
+    # an ideal names positions among all factors of norm, Z included, and its
+    # conditions name the row's parameters
+    ("t48.tbl", 'mods="rep(1,2)"                                                    ideals="1"',
+     'mods="rep(1,2)"                                                    ideals="1,9 | 7:n<=0"',
+     "t48.tbl:14: ideal factor 9 is not one of the 1 factors of norm"),
+    ("t48.tbl", 'mods="rep(1,2)"                                                    ideals="1"',
+     'mods="rep(1,2)"                                                    ideals="1:k>0"',
+     "t48.tbl:14: ideal condition variable 'k' is not one of the 1 parameters of the row"),
     ("t14.tbl", 'gens="pi(i),pi(n-i) : i=1..n-k"', 'gens="pi(i),pi\'(n-i) : i=1..n-k"',
      "t14.tbl:8: weight term factor 2 is not one of the 1 factors of g"),
     # a T1.6 row's lam is one weight
@@ -312,6 +320,16 @@ def test_data_dir_override(tmp_path, monkeypatch, planted_tables):
     assert get_catalog().data_dir == src
     # family rows are cached by the catalog, so none from the other directory
     assert family_row_for_factor(sl(5), [HItem("sl", 3, (0,))]).entry is lookup("T1.6", 1)
+
+
+def test_two_plants_in_one_test_are_both_read(planted_tables):
+    # the second edit is read although the catalog already read the first
+    planted_tables('g=G2   kform="16"', 'g=G2   kform="17"', "t32.tbl")
+    assert lookup("T3.2", "G").aux["kform"] == "17"
+    planted_tables('h=sl(2*n+1)                    constraint="n>=2"',
+                   'h=sl(2*n+1)                    constraint="n>=1"')
+    assert lookup("T3.2", "G").aux["kform"] == "17"
+    assert lookup("T1.4", 10).constraints == ("n>=1",)
 
 
 def test_match_t14_solves_parameters():

@@ -97,12 +97,8 @@ def test_one_sided_refusals_are_pinned(text, reason, image, row):
 ])
 def test_rows_relaxed_to_low_rank_agree_with_the_isomorphic_rows(planted_tables, text, row,
                                                                   image, nodes):
-    tables = planted_tables('constraint="n>=7; 2*k>=n+2; k<=n"',
-                            'constraint="n>=5; 2*k>=n+2; k<=n"')
-    # the second edit goes into the same copy before the catalog first reads it
-    t14 = tables / "t14.tbl"
-    old = 'h=sl(2*n+1)                    constraint="n>=2"'
-    assert t14.read_text().count(old) == 1
-    t14.write_text(t14.read_text().replace(old, old.replace("n>=2", "n>=1")))
+    planted_tables('constraint="n>=7; 2*k>=n+2; k<=n"', 'constraint="n>=5; 2*k>=n+2; k<=n"')
+    planted_tables('h=sl(2*n+1)                    constraint="n>=2"',
+                   'h=sl(2*n+1)                    constraint="n>=1"')
     assert cartan_space(parse_pair(text)).trace[0].partition("(")[0] == row
     assert_corresponds(text, image, nodes)

@@ -1,13 +1,22 @@
 """The package's value classes behave as the frozen dataclasses they replace.
 
-Each sample below names its fields in the order the class declares them.
-Equal fields give equal values with the hash of the field tuple; a value
-never equals one of another class with the same fields; no field can be
-assigned or deleted; `repr` is `Name(field=value, ...)`.
+Each sample below names its fields in the order the class declares them,
+and every value class of the package has one.  A value is built from each
+of its fields once, by position or keyword, and holds nothing else; equal
+fields give equal values with the hash of the field tuple; a value never
+equals one of another class with the same fields; no field can be assigned
+or deleted; `repr` is `Name(field=value, ...)`; copies and pickles are
+equal values.
 """
+
+import copy
+import importlib
+import pickle
+import pkgutil
 
 import pytest
 
+import cartanspaces
 from cartanspaces.catalog import (
     CatalogEntry,
     Check,
@@ -24,6 +33,7 @@ from cartanspaces.engine import CartanResult, EssentialPart, Twist, cartan_space
 from cartanspaces.errors import ConstraintError
 from cartanspaces.ratlinalg import RationalSubspace, span
 from cartanspaces.rootsystems import RootSystem, SimpleType, build_root_system, sl
+from cartanspaces.values import Value
 
 
 def _field_values(value, names: str) -> dict:
@@ -56,9 +66,41 @@ def _samples():
 
 
 SAMPLES = _samples()
+IDS = [cls.__name__ for cls, _ in SAMPLES]
 
 
-@pytest.mark.parametrize("cls, fields", SAMPLES, ids=[cls.__name__ for cls, _ in SAMPLES])
+def test_every_value_class_has_a_sample():
+    defined = set()
+    for info in pkgutil.iter_modules(cartanspaces.__path__):
+        module = importlib.import_module(f"cartanspaces.{info.name}")
+        defined |= {obj for obj in vars(module).values() if isinstance(obj, type)
+                    and issubclass(obj, Value) and obj.__module__ == module.__name__}
+    assert defined - {Value} == {cls for cls, _ in SAMPLES}
+
+
+@pytest.mark.parametrize("cls, fields", SAMPLES, ids=IDS)
+def test_a_value_holds_each_field_once(cls, fields):
+    assert tuple(fields) == cls._fields
+    assert list(vars(cls(**fields))) == list(cls._fields)
+    first, *rest = fields
+    for args, kwargs in [((), {name: fields[name] for name in rest}),   # missing
+                         ((), {**fields, "other": 1}),                   # extra
+                         ((fields[first],), fields),                     # given twice
+                         ((*fields.values(), 1), {})]:                   # one too many
+        with pytest.raises(TypeError) as err:
+            cls(*args, **kwargs)
+        if "__init__" not in vars(cls):
+            assert str(err.value) == f"{cls.__name__} takes each of {cls._fields} once"
+
+
+@pytest.mark.parametrize("cls, fields", SAMPLES, ids=IDS)
+def test_copies_and_pickles_are_equal_values(cls, fields):
+    value = cls(**fields)
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(other) is cls and other == value and repr(other) == repr(value)
+
+
+@pytest.mark.parametrize("cls, fields", SAMPLES, ids=IDS)
 def test_value_semantics(cls, fields):
     a, b = cls(**fields), cls(*fields.values())
     assert a == b and not a != b and a is not b
