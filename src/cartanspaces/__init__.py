@@ -34,10 +34,7 @@ from .errors import (
     PairSyntaxError,
     TableFormatError,
 )
-from .indexes import (
-    dynkin_index_of,
-    per_factor_index,
-)
+from .indexes import dynkin_index_of
 from .ratlinalg import (
     RationalSubspace,
     annihilator_preimage,

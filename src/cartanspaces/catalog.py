@@ -165,7 +165,7 @@ def parse_h_pattern(text: str) -> tuple[ItemPattern, ...]:
         targets: tuple[int, ...] = (0,)
         if "@" in part:
             part, tail = part.split("@", 1)
-            if not all(x.isdigit() for x in tail.split(",")):
+            if not all(x.isdecimal() for x in tail.split(",")):
                 raise TableFormatError(f"bad item targets {tail!r}")
             targets = tuple(int(x) - 1 for x in tail.split(","))
             if len(set(targets)) < len(targets):
@@ -333,7 +333,7 @@ def _parse_ideals(text: str) -> tuple[tuple[tuple[int, ...], tuple[str, ...]], .
         if not part.strip():
             continue
         seq, _, cond = part.partition(":")
-        if not all(x.strip().isdigit() for x in seq.split(",")):
+        if not all(x.strip().isdecimal() for x in seq.split(",")):
             raise TableFormatError(f"bad ideal sequence {seq.strip()!r}")
         out.append((tuple(int(x) for x in seq.split(",")), _relations(cond, "&")))
     return tuple(out)
@@ -375,15 +375,10 @@ _AFFINE_ARG = re.compile(r"(?:([1-9]\d*)\*)?([A-Za-z_]\w*)([+-]\d+)?")
 
 class CatalogEntry(Value):
     """One table row: `row` is its number as text ('3') or a series key ('G'); `aux`,
-    the row's other fields parsed, is {} when not given and is left out of eq and hash."""
+    the row's other fields parsed, is left out of eq and hash."""
 
     _fields = ("table", "row", "g_pattern", "h_pattern", "constraints", "gens", "aux")
     _compared = _fields[:-1]
-
-    def __init__(self, *args, **kwargs):
-        if len(args) < len(self._fields):
-            kwargs.setdefault("aux", {})
-        super().__init__(*args, **kwargs)
 
     @property
     def row_id(self) -> str:
@@ -526,12 +521,6 @@ class Catalog:
                                        f"the {len(entry.variables)} parameters of the row")
         return entry
 
-    def lookup(self, table: str, row) -> CatalogEntry:
-        key = (table, str(row))
-        if key not in self.entries:
-            raise ConstraintError(f"unknown catalog row {table}:{row}")
-        return self.entries[key]
-
     def rows(self, table: str) -> list[CatalogEntry]:
         return self._rows.get(table, [])
 
@@ -554,7 +543,10 @@ def get_catalog() -> Catalog:
 
 
 def lookup(table: str, row) -> CatalogEntry:
-    return get_catalog().lookup(table, row)
+    entry = get_catalog().entries.get((table, str(row)))
+    if entry is None:
+        raise ConstraintError(f"unknown catalog row {table}:{row}")
+    return entry
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def _layout(pair: ReductivePair, bourbaki: bool) -> list[tuple[str, int]]:
     return layout + [(f"z_{j + 1}", start + j) for j in range(pair.center_dim)]
 
 
-def format_vector(pair: ReductivePair, v, bourbaki: bool = False) -> str:
+def format_vector(pair: ReductivePair, v, bourbaki: bool) -> str:
     terms = []
     for (name, _), x in zip(_layout(pair, bourbaki), v):
         if x == 0:

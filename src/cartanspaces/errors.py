@@ -36,6 +36,6 @@ class TableFormatError(CartanError):
 class PairSyntaxError(CartanError):
     """A pair expression could not be parsed; carries the byte offset."""
 
-    def __init__(self, message: str, offset: int = -1):
+    def __init__(self, message: str, offset: int):
         super().__init__(message)
         self.offset = offset

@@ -6,9 +6,7 @@ embeddings appearing in the classification tables the values are the unit
 constants below (all defining/corner-style embeddings, plus the finitely
 many exceptional-target rows, which are stored rather than derived from
 representation data and are cross-validated by the index partition of the
-tables).  Diagonal embeddings into several factors are handled by
-additivity: the index into a direct sum is the sum of the per-factor
-indices.
+tables).
 
 The index of the complement module g/h of a simple h in g is
     i(h, g) * k_g / k_h  -  1
@@ -53,10 +51,9 @@ _EXCEPTIONAL_INDEX = {
 }
 
 
-def per_factor_index(item: HItem, g_type: SimpleType) -> int:
-    """Dynkin index of one item into one ambient factor."""
-    if item.base in ("diag", "bridge"):
-        return 1
+def dynkin_index_of(item: HItem, g_types: Sequence[SimpleType]) -> int:
+    """Dynkin index of a one-factor item into its factor of the ambient."""
+    g_type = g_types[item.targets[0]]
     if g_type.series in CLASSICAL:
         key = (CLASSICAL[g_type.series][0], item.base)
         if key in _CLASSICAL_INDEX and (key != ("sp", "sl") or item.size == 2):
@@ -64,19 +61,6 @@ def per_factor_index(item: HItem, g_type: SimpleType) -> int:
     elif (item.base, item.size) in _EXCEPTIONAL_INDEX[str(g_type)]:
         return 1
     raise ConstraintError(f"unsupported embedding shape: {item.describe()} inside {g_type}")
-
-
-def dynkin_index_of(item: HItem, g_types: Sequence[SimpleType]) -> int:
-    """Dynkin index of an item into its (possibly composite) ambient.
-
-    For diagonal and bridge items the per-factor indices add up.
-    """
-    total = 0
-    for t in item.targets:
-        total += per_factor_index(item, g_types[t])
-    if total <= 0:
-        raise ConstraintError("embedding index must be positive")
-    return total
 
 
 def module_index_complement_types(g: SimpleType, item: HItem, idx: int) -> Fraction:

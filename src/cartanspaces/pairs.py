@@ -179,7 +179,7 @@ class _Parser:
                 self.err(at, f"bad row parameter {piece!r}")
             if pm[1] in params:
                 self.err(at, f"parameter {pm[1]!r} given twice")
-            params[pm[1]] = self.number(at, pm[2]) if pm[2].isdigit() else pm[2]
+            params[pm[1]] = self.number(at, pm[2]) if pm[2].isdecimal() else pm[2]
         try:
             entry = cat.lookup(table, row)
             for name, value in params.items():
@@ -223,14 +223,14 @@ class _Parser:
                          "item needs 'in i,j' when the algebra is not a two-factor sum")
             return tuple(range(count))
         sel = sel.strip()
-        if count == 1 and not sel.isdigit():
+        if count == 1 and not sel.isdecimal():
             t = self.factor(sel, at)
             hits = [i for i, f in enumerate(factors) if f == t]
             if len(hits) != 1:
                 self.err(at, f"'in {sel}' does not name a unique factor")
             return (hits[0],)
         parts = [p.strip() for p in sel.split(",")]
-        if len(parts) != count or not all(p.isdigit() for p in parts):
+        if len(parts) != count or not all(p.isdecimal() for p in parts):
             self.err(at, f"'in {sel}' must name {count} factors by position")
         targets = tuple(self.number(at, p) - 1 for p in parts)
         for t in targets:

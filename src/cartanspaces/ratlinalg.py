@@ -108,12 +108,6 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[Vector]
 
 def combine(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> Vector:
     """sum_i coeffs[i] * vectors[i] in Q^n; extra coefficients are ignored."""
-    v, den = _combination(coeffs, vectors, n)
-    return tuple(Fraction(x, den) for x in v)
-
-
-def _combination(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> tuple[list[int], int]:
-    """combine() as integer numerators over one denominator."""
     terms = [(c, u) for c, u in zip(coeffs, vectors) if c]
     scaled = _integral([u for _, u in terms], n)
     terms = [(Fraction(c) / d, r) for (c, _), (d, r) in zip(terms, scaled)]
@@ -122,7 +116,7 @@ def _combination(coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> tuple
     for c, r in terms:
         k = c.numerator * (den // c.denominator)
         v = [x + k * y for x, y in zip(v, r)]
-    return v, den
+    return tuple(Fraction(x, den) for x in v)
 
 
 def annihilator_preimage(space: RationalSubspace, quotient_by: RationalSubspace,
@@ -139,4 +133,4 @@ def annihilator_preimage(space: RationalSubspace, quotient_by: RationalSubspace,
         return space
     basis = [r for _, r in _integral(space.basis, n)]
     rows = [[dot(f, b) for b in basis] for f in covectors]
-    return span([_combination(t, basis, n)[0] for t in kernel_basis(rows, len(basis))], n)
+    return span([combine(t, basis, n) for t in kernel_basis(rows, len(basis))], n)

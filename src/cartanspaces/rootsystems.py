@@ -372,17 +372,14 @@ def highest_root(rs: RootSystem) -> Vector:
     return rs.positive_roots[heights.index(max(heights))]
 
 
-def k_value(rs: RootSystem, long_root: Vector | None = None) -> int:
-    """Sum of <beta, alpha^vee>^2 over all roots, for a long root alpha.
+def k_value(rs: RootSystem) -> int:
+    """Sum of <beta, alpha^vee>^2 over all roots, for the highest root alpha.
 
-    The value does not depend on which long root is chosen; by default the
-    highest root is used.  beta and -beta give the same term, so the sum
-    runs over the positive roots and is doubled.
+    The value is the same at every long root.  beta and -beta give the same
+    term, so the sum runs over the positive roots and is doubled.
     """
-    alpha = highest_root(rs) if long_root is None else long_root
+    alpha = highest_root(rs)
     aa = dot(alpha, alpha)
-    if aa != max(rs.simple_norms):  # the longest simple root is long
-        raise ConstraintError("k_value requires a long root")
     total = 2 * sum((2 * dot(beta, alpha)) ** 2 for beta in rs.positive_roots)
     value = Fraction(total, aa * aa)
     if value.denominator != 1:

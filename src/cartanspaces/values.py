@@ -4,10 +4,12 @@ A class names its fields once, in `_fields`, in order; one that only stores
 them declares nothing more.  The base builds a value by position or keyword,
 refuses later assignment or deletion, prints `Name(field=value, ...)`, and
 compares and hashes values of one class by `_compared` (all of `_fields` when
-None).  A class with defaults or checks ends its `__init__` in this one.  Only
-`SimpleType` and `HItem`, hot on the matching path, write out `__init__`,
-`__eq__` and `__hash__`, for speed.  A `cached_property` stores its value in
-the instance `__dict__`, past `__setattr__`.
+None).  A class with defaults or checks ends its `__init__` in this one:
+`ReductivePair` is the one such class, and `CatalogEntry`, whose `aux` has no
+default, writes none.  Only `SimpleType` and `HItem`, hot on the matching
+path, write out `__init__`, `__eq__` and `__hash__`, for speed.  A
+`cached_property` stores its value in the instance `__dict__`, past
+`__setattr__`.
 """
 
 from __future__ import annotations

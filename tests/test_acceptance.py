@@ -190,7 +190,7 @@ def test_criterion_8_normalizer_bookkeeping():
     checked = 0
     for entry in catalog.rows("T4.8"):
         # the normalizer rows are those of T3.6, number for number
-        t36 = catalog.lookup("T3.6", entry.row)
+        t36 = lookup("T3.6", entry.row)
         assert (entry.g_pattern, entry.constraints) == (t36.g_pattern, t36.constraints)
         for params in sample_params(entry):
             for c in verify_entry(entry, params):

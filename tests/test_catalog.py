@@ -19,7 +19,7 @@ from cartanspaces.catalog import (
     verify_entry,
 )
 from cartanspaces.cli import main, survey_pairs
-from cartanspaces.errors import ConstraintError, TableFormatError
+from cartanspaces.errors import ConstraintError, DimensionError, TableFormatError
 from cartanspaces.exprs import check_relation, evaluate, variables
 from cartanspaces.ratlinalg import dot, rref, span
 from cartanspaces.rootsystems import (
@@ -202,6 +202,29 @@ def test_parse_error_reports_line_number(planted_tables):
      "t14.tbl:8: unexpected '2 ** k' in expression '2**k>=n+2'"),
     ("t16.tbl", 'alpha="4/3"', 'alpha="4.0/3"',
      "t16.tbl:12: expression '4.0/3' holds a token outside the grammar"),
+    # a field, pattern, item, weight term, range, module term or ideal
+    # sequence outside the record grammar
+    ("t14.tbl", "row=1  g=sl(n) ", "row=1  g=sl(n) ! ", "t14.tbl:8: malformed field at column 27"),
+    ("t14.tbl", "row=1  g=sl(n) ", "row=1  g=sl(n ", "t14.tbl:8: bad type pattern 'sl(n'"),
+    ("t14.tbl", "row=1  g=sl(n) ", "row=1  g=sl ", "t14.tbl:8: bad argument in type pattern 'sl'"),
+    ("t14.tbl", "row=13 g=so(7) ", "row=13 g=G2(7) ",
+     "t14.tbl:20: bad argument in type pattern 'G2(7)'"),
+    ("t14.tbl", "h=sl(k)    ", "h=xx(k)    ", "t14.tbl:8: bad subalgebra item 'xx(k)'"),
+    ("t14.tbl", 'gens="pi(i),pi(n-i) : i=1..n-k"', 'gens="pi(i),rho(n-i) : i=1..n-k"',
+     "t14.tbl:8: bad weight term 'rho(n-i)'"),
+    ("t14.tbl", 'gens="pi(i),pi(n-i) : i=1..n-k"', 'gens="pi(i),pi(n-i) : i=1"',
+     "t14.tbl:8: bad range ' i=1'"),
+    ("t48.tbl", 'mods="tau(1)*tau(2)"', 'mods="tau(1)*tua(2)"', "t48.tbl:16: bad module term 'tua(2)'"),
+    ("t48.tbl", 'mods="rep(1,2)"                                                    ideals="1"',
+     'mods="rep(1,2)"                                                    ideals="a"',
+     "t48.tbl:14: bad ideal sequence 'a'"),
+    # a digit that int() does not read is no number
+    ("t48.tbl", 'mods="rep(1,2)"                                                    ideals="1"',
+     'mods="rep(1,2)"                                                    ideals="²"',
+     "t48.tbl:14: bad ideal sequence '²'"),
+    ("t14.tbl", "h=diag@1,2", "h=diag@1,²", "t14.tbl:32: bad item targets '1,²'"),
+    # one row, one number
+    ("t14.tbl", "row=2  g", "row=1  g", "t14.tbl:9: duplicate row ('T1.4', '1')"),
 ])
 def test_planted_table_faults_fail_the_load(planted_tables, capsys, name, old, new, message):
     planted_tables(old, new, name)
@@ -210,6 +233,24 @@ def test_planted_table_faults_fail_the_load(planted_tables, capsys, name, old, n
     assert str(err.value).startswith(message)
     assert main(["verify", "all"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_a_missing_table_file_fails_the_load(planted_tables, capsys):
+    tables = planted_tables()
+    (tables / "t37.tbl").unlink()
+    with pytest.raises(TableFormatError, match="^missing table file .*t37.tbl$"):
+        get_catalog()
+    assert main(["verify", "all"]) == 1
+    assert capsys.readouterr().err == f"error: missing table file {tables / 't37.tbl'}\n"
+
+
+def test_a_tautological_term_of_an_exceptional_factor_fails_verify(planted_tables, capsys):
+    # G2 has no size, so tau(1) names no module; verify names the row
+    planted_tables('norm="so(7)*so(n-8)"', 'norm="G2*so(n-8)"   ', "t48.tbl")
+    assert main(["verify", "T4.8"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == [f"[FAIL] T4.8:8 instantiates at {{'n': {n}}}: no tautological module "
+                      "size for 'G2'" for n in (9, 11)]
 
 
 def test_rep_weight_above_the_factor_rank_fails_verify(planted_tables, capsys):
@@ -479,6 +520,14 @@ def test_zero_central_part_is_refused():
     with pytest.raises(ConstraintError) as err:
         ReductivePair((sl(5),), 0, (HItem("sl", 3, (0,)),), span([], 1))
     assert str(err.value) == "zero central part; leave the center out"
+
+
+def test_central_part_in_the_wrong_ambient_is_refused():
+    # sl(5)+center(1)/sl(3) has center(1) and one family slot: ambient 2
+    items = (HItem("sl", 3, (0,)),)
+    with pytest.raises(DimensionError, match="^central subspace ambient 3, expected 2$"):
+        ReductivePair((sl(5),), 1, items, span([[1, 0, 0]], 3))
+    assert ReductivePair((sl(5),), 1, items, span([[1, 0]], 2)).center.dim == 1
 
 
 def test_item_sizes_are_checked():

@@ -9,7 +9,7 @@ import pytest
 
 import cartanspaces
 from cartanspaces import engine
-from cartanspaces.catalog import HItem, get_catalog, instantiate
+from cartanspaces.catalog import HItem, get_catalog, instantiate, lookup
 from cartanspaces.cli import (
     cmd_compute,
     cmd_survey,
@@ -218,9 +218,9 @@ def test_verify_computes_each_k_once(monkeypatch):
 
     calls, k_value = [], rootsystems.k_value
 
-    def counted(rs, long_root=None):
+    def counted(rs):
         calls.append(rs.stype)
-        return k_value(rs, long_root)
+        return k_value(rs)
 
     monkeypatch.setattr(rootsystems, "k_value", counted)
     rootsystems.build_root_system.cache_clear()
@@ -281,7 +281,7 @@ def test_survey_agreement_check_flags_a_shadowing_row(planted_tables):
 
 
 def test_row_result_equals_the_cartan_space_of_its_pair():
-    inst = instantiate(get_catalog().lookup("T1.4", 1), {"n": 5, "k": 4})
+    inst = instantiate(lookup("T1.4", 1), {"n": 5, "k": 4})
     assert engine.row_result(inst) == engine.cartan_space(inst.pair)
 
 
@@ -340,6 +340,9 @@ def test_survey_command(capsys):
     # a negative rank bound lists nothing
     assert cmd_survey(-3, "") == 0
     assert capsys.readouterr().out == "0 pairs listed\n"
+    # above rank 12 the survey refuses, an input error
+    assert cmd_survey(13, "") == 1
+    assert capsys.readouterr() == ("", "error: survey is limited to rank 12\n")
 
 
 def test_main_dispatch(capsys):

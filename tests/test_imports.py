@@ -9,6 +9,8 @@ at import, and importing `inspect` for them, cost about a quarter of every
 command's start-up.  The package ships only what it runs: every public
 function, class, method and property has a use in the package itself,
 and reference code that only tests read lives in `tests/references.py`.
+Nor does it import what it does not read: each name a module binds by an
+import at module level is read in that module (`__init__` only re-exports).
 """
 
 import ast
@@ -172,3 +174,53 @@ def test_every_public_name_has_a_use_in_the_package():
     assert unused_definitions(probe) == ["probe.R.roots", "probe.alone", "probe.entry"]
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert unused_definitions(trees) == sorted(KEPT_WITHOUT_A_CALLER)
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Each name a module-level import binds (in `if` and `try` blocks too,
+    not in functions or classes) that the module never reads; a
+    `from __future__` import binds no name to read."""
+    reads = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound, statements = [], list(tree.body)
+    while statements:
+        node = statements.pop()
+        if isinstance(node, ast.If):
+            statements += node.body + node.orelse
+        elif isinstance(node, ast.Try):
+            statements += node.body + node.orelse + node.finalbody
+            statements += [s for handler in node.handlers for s in handler.body]
+        elif isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    return sorted(name for name in bound if name not in reads)
+
+
+# module-level imports that their module never reads, each with its reason
+UNUSED_IMPORTS_KEPT = {
+    "engine.rref": "FOUND, CHANGES.md line 30, and ROADMAP item 5: "
+                   "benchmark/test_benchmark.py asserts engine.rref is ratlinalg.rref",
+}
+
+
+def test_every_module_level_import_is_read():
+    probe = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\n"       # neither is read
+        "import json, xml.dom\n"
+        "from typing import TYPE_CHECKING, Sequence\n"
+        "from . import engine as eng\n"      # read as engine, never as eng
+        "if TYPE_CHECKING:\n"
+        "    from .catalog import HItem\n"
+        "try:\n"
+        "    import tomllib\n"
+        "except ImportError:\n"
+        "    tomllib = None\n"
+        "def f(x: HItem) -> Sequence:\n"
+        "    import argparse\n"              # not at module level
+        "    return json.dumps(xml.dom.__name__), engine\n")
+    assert unused_imports(probe) == ["eng", "os", "osp", "tomllib"]
+    found = sorted(f"{path.stem}.{name}" for path in SOURCES if path.stem != "__init__"
+                   for name in unused_imports(ast.parse(path.read_text(), str(path))))
+    assert found == sorted(UNUSED_IMPORTS_KEPT)

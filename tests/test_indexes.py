@@ -10,7 +10,7 @@ from cartanspaces.catalog import (
     sample_params,
 )
 from cartanspaces.errors import ConstraintError
-from cartanspaces.indexes import dynkin_index_of, module_index_complement_types, per_factor_index
+from cartanspaces.indexes import dynkin_index_of, module_index_complement_types
 from cartanspaces.pairs import format_pair
 from cartanspaces.rootsystems import SimpleType, sl, so, sp
 
@@ -24,22 +24,25 @@ def test_unit_indices():
     assert dynkin_index_of(HItem("so", 9, (0,)), [SimpleType("F", 4)]) == 1
 
 
-def test_diagonal_additivity():
-    item = HItem("diag", None, (0, 1), SimpleType("A", 2))
-    assert dynkin_index_of(item, [SimpleType("A", 2), SimpleType("A", 2)]) == 2
+def test_two_factor_items_have_no_index():
+    # no T3.4, T3.6 or T3.7 row has an item in two factors
+    diag = HItem("diag", None, (0, 1), SimpleType("A", 2))
+    with pytest.raises(ConstraintError, match="unsupported embedding shape"):
+        dynkin_index_of(diag, [SimpleType("A", 2), SimpleType("A", 2)])
     bridge = HItem("bridge", None, (0, 1))
-    assert dynkin_index_of(bridge, [sp(6), SimpleType("A", 1)]) == 2
+    with pytest.raises(ConstraintError, match="unsupported embedding shape"):
+        dynkin_index_of(bridge, [sp(6), SimpleType("A", 1)])
 
 
 def test_orthogonal_inside_special_linear_doubles():
-    assert per_factor_index(HItem("so", 5, (0,)), sl(7)) == 2
+    assert dynkin_index_of(HItem("so", 5, (0,)), [sl(7)]) == 2
 
 
 def test_unsupported_shape():
     with pytest.raises(ConstraintError):
-        per_factor_index(HItem("sl", 4, (0,)), sp(8))
+        dynkin_index_of(HItem("sl", 4, (0,)), [sp(8)])
     with pytest.raises(ConstraintError):
-        per_factor_index(HItem("e7", None, (0,)), SimpleType("E", 6))
+        dynkin_index_of(HItem("e7", None, (0,)), [SimpleType("E", 6)])
 
 
 def test_complement_index_values():
@@ -50,7 +53,7 @@ def test_complement_index_values():
         (so(8), HItem("so", 6, (0,)), Q(1, 2)),
         (SimpleType("G", 2), HItem("sl", 3, (0,)), Q(1, 3)),
     ]:
-        assert module_index_complement_types(g, item, per_factor_index(item, g)) == want
+        assert module_index_complement_types(g, item, dynkin_index_of(item, [g])) == want
 
 
 def test_k_monotonicity_over_all_catalog_embeddings():

@@ -505,6 +505,23 @@ def test_row_parameter_not_in_the_row_or_given_twice_is_refused():
             assert cmd_compute(text, out=io.StringIO()) == 1
 
 
+def test_a_superscript_digit_is_no_number():
+    # str.isdigit() accepts '²', which int() refuses: each text is refused
+    # for what it is, not as a number too long to read
+    for text, message in [
+        ("sl(3)+sl(3)/sl(2) in ²", "bad algebra factor '²'"),
+        ("sl(3)+sl(3)/T1.4:25(s=A,r=²)", "T1.4:25 parameter 'r' must be a number, not '²'"),
+        ("sp(4)+sp(4)/bridge in ²,1", "'in ²,1' must name 2 factors by position"),
+    ]:
+        with pytest.raises(PairSyntaxError, match=message) as err:
+            parse_pair(text)
+        assert err.value.offset == 12, text
+        with pytest.raises(CartanError):
+            ReferenceParser(text).parse()
+    # a decimal digit of another script is a number, as the fuzzer's alphabet has it
+    assert parse_pair("sl(3)+sl(3)/sl(2) in ٢") == parse_pair("sl(3)+sl(3)/sl(2) in 2")
+
+
 def test_compute_exits_0_1_or_2_on_fuzzed_texts(fuzzed):
     rng = random.Random(7)
     codes = set()

@@ -144,7 +144,6 @@ def test_catalog_entry_aux_is_not_compared():
     other = CatalogEntry(**fields, aux={"anything": 1})
     assert entry.aux != other.aux
     assert other == entry and hash(other) == hash(entry)
-    assert CatalogEntry(**fields).aux == {}
 
 
 def test_cached_properties_are_computed_once():
